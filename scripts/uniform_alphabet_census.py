@@ -6,6 +6,9 @@ Fixed points never admit one and are counted separately.  For every other
 pattern the census records the least k for which the search succeeds.
 Needing the full alphabet k = |var(pattern)| is routine below 4 variables
 but conjectured impossible from 4 on, so those cases are flagged.
+
+Exit codes: 0 no flagged pattern, 1 some pattern needs the full alphabet
+despite at least 4 variables, 4 an internal inconsistency (a bug).
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ import json
 import sys
 from collections import Counter
 
+from unambig.errors import InconsistencyError
 from unambig.explorer import enumerate_canonical_patterns, search_1uniform
 from unambig.solver import DEFAULT_BUDGET, FixedPoint, is_fixed_point
 
@@ -23,7 +27,7 @@ def least_alphabet(pattern, budget: int) -> int:
     for k in range(1, len(pattern.variables) + 1):
         if search_1uniform(pattern, k, budget=budget) is not None:
             return k
-    raise AssertionError(f"renaming must be unambiguous off fixed points: {pattern}")
+    raise InconsistencyError(f"renaming must be unambiguous off fixed points: {pattern}")
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -47,7 +51,11 @@ def main(argv: list[str] | None = None) -> int:
             fixed_points += 1
             continue
         n = len(pattern.variables)
-        k = least_alphabet(pattern, args.budget)
+        try:
+            k = least_alphabet(pattern, args.budget)
+        except InconsistencyError as exc:
+            print(f"internal inconsistency: {exc}", file=sys.stderr)
+            return 4
         census[n, k] += 1
         if k == n and n >= 4:
             tight.append(pattern)

@@ -2,9 +2,10 @@
 
 Exit codes are uniform across subcommands: 0 the checked property holds or a
 witness was found, 1 it fails or nothing was found, 2 malformed usage or
-input, 3 a search budget or enumeration guard was exceeded.  Input errors go
-to standard error with the offending token; results go to standard output,
-as labeled ``key: value`` lines or as JSON with ``--json``.
+input, 3 a search budget or enumeration guard was exceeded, 4 an internal
+inconsistency (a result contradicting a proven statement, i.e. a bug).
+Input errors go to standard error with the offending token; results go to
+standard output, as labeled ``key: value`` lines or as JSON with ``--json``.
 """
 
 from __future__ import annotations
@@ -16,8 +17,9 @@ import sys
 from typing import Iterable
 
 from .conditions import pair_condition
-from .errors import DomainError, ResourceError
+from .errors import DomainError, InconsistencyError, ResourceError
 from .explorer import (
+    SCAN_TARGETS,
     conjecture_scan,
     enumerate_canonical_patterns,
     search_1uniform,
@@ -51,6 +53,7 @@ EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
+EXIT_INCONSISTENT = 4
 
 # known prefix of the ternary square-free word used by the verify bundle
 THUE_PREFIX_21 = "abcacbabcbacabcacbaca"
@@ -414,11 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     generate.set_defaults(handler=_cmd_generate)
 
     scan = commands.add_parser("scan", help="sweep canonical patterns and record verdicts")
-    scan.add_argument(
-        "--target",
-        required=True,
-        choices=["conjecture1", "conjecture2", "conjecture3", "theorem7"],
-    )
+    scan.add_argument("--target", required=True, choices=SCAN_TARGETS)
     scan.add_argument("--max-len", type=_positive, required=True)
     scan.add_argument("--workers", type=_positive, default=1)
     scan.add_argument("--out", required=True, metavar="FILE.jsonl")
@@ -454,6 +453,9 @@ def main(argv: list[str] | None = None) -> int:
     except ResourceError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    except InconsistencyError as exc:
+        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        return EXIT_INCONSISTENT
 
 
 def run() -> None:

@@ -27,7 +27,7 @@ from .solver import (
     is_ambiguous,
     is_fixed_point,
 )
-from .words import ALPHABET, Pattern, parse_pattern
+from .words import ALPHABET, Pattern, first_occurrence_order, parse_pattern
 
 MAX_ENUMERATION_LENGTH = 16
 MAX_SCAN_LENGTH = 14
@@ -109,12 +109,7 @@ def search_1uniform(
         raise DomainError("the pattern must be non-empty")
     if not 1 <= alphabet_size <= len(ALPHABET):
         raise DomainError(f"alphabet size must be between 1 and {len(ALPHABET)}, got {alphabet_size}")
-    ordered: list[int] = []
-    seen: set[int] = set()
-    for s in pattern.symbols:
-        if s not in seen:
-            seen.add(s)
-            ordered.append(s)
+    ordered = first_occurrence_order(pattern)
     for coloring in canonical_colorings(len(ordered), alphabet_size):
         sigma = Morphism.of({var: ALPHABET[c] for var, c in zip(ordered, coloring)})
         verdict = is_ambiguous(sigma, pattern, budget=budget)

@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Sequence
 
 from .errors import DomainError
 from .morphisms import Morphism, Substitution
-from .words import Pattern, canonical_form, validate_word
+from .words import Pattern, canonical_form, first_occurrence_order, validate_word
 
 DEFAULT_BUDGET = 10**8
 
@@ -66,18 +66,11 @@ class _BudgetHit(Exception):
     pass
 
 
-def _make_ticker(counter: list[int], budget: int | None) -> Callable[[], None]:
-    if budget is None:
-
-        def tick() -> None:
-            counter[0] += 1
-
-    else:
-
-        def tick() -> None:
-            if counter[0] >= budget:
-                raise _BudgetHit
-            counter[0] += 1
+def _make_ticker(counter: list[int], budget: int) -> Callable[[], None]:
+    def tick() -> None:
+        if counter[0] >= budget:
+            raise _BudgetHit
+        counter[0] += 1
 
     return tick
 
@@ -222,11 +215,9 @@ def enumerate_preimages(
     validate_word(word)
     if limit is not None and limit < 1:
         raise DomainError(f"limit must be >= 1, got {limit!r}")
-    counter = [0]
-    tick = _make_ticker(counter, None)
     min_len = 0 if allow_erasing else 1
     out: list[Morphism] = []
-    for assignment in _iter_assignments(pattern.symbols, word, min_len, tick):
+    for assignment in _iter_assignments(pattern.symbols, word, min_len, lambda: None):
         out.append(Morphism.of(assignment))
         if limit is not None and len(out) >= limit:
             break
@@ -239,22 +230,12 @@ _FP_CACHE: dict[tuple[int, ...], tuple[tuple | None, int]] = {}
 _FP_CACHE_LIMIT = 1 << 20
 
 
-def _first_occurrence_order(pattern: Pattern) -> list[int]:
-    seen: set[int] = set()
-    out: list[int] = []
-    for s in pattern.symbols:
-        if s not in seen:
-            seen.add(s)
-            out.append(s)
-    return out
-
-
 def _fp_result(
     pattern: Pattern, phi_items: tuple | None, nodes: int
 ) -> FixedPoint | NotFixedPoint:
     if phi_items is None:
         return NotFixedPoint(nodes_explored=nodes)
-    orig = _first_occurrence_order(pattern)
+    orig = first_occurrence_order(pattern)
     mapping = {
         orig[var - 1]: Pattern(tuple(orig[s - 1] for s in image)) for var, image in phi_items
     }

@@ -83,6 +83,11 @@ def parse_pattern(text: str) -> Pattern:
     return Pattern(tuple(symbols))
 
 
+def first_occurrence_order(pattern: Pattern) -> tuple[int, ...]:
+    """The pattern's distinct variables, in order of first occurrence."""
+    return tuple(dict.fromkeys(pattern.symbols))
+
+
 def canonical_form(pattern: Pattern) -> Pattern:
     """Relabel variables as 1, 2, 3, ... in order of first occurrence."""
     relabel: dict[int, int] = {}

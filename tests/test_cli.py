@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import shlex
@@ -8,7 +9,8 @@ import pytest
 
 import unambig
 from unambig import cli
-from unambig.explorer import ScanRecord
+from unambig.errors import InconsistencyError
+from unambig.explorer import SCAN_TARGETS, ScanRecord
 from unambig.morphisms import Morphism, Substitution
 from unambig.words import parse_pattern
 
@@ -269,6 +271,42 @@ class TestScan:
         assert code == 3
         assert "resource limit" in err
 
+    def test_unknown_target_lists_every_target(self, capsys, tmp_path):
+        code, _, err = run_cli(
+            capsys,
+            "scan",
+            "--target",
+            "conjecture4",
+            "--max-len",
+            "6",
+            "--out",
+            str(tmp_path / "x.jsonl"),
+        )
+        assert code == 2
+        for target in SCAN_TARGETS:
+            assert target in err
+
+    def test_inconsistency_is_exit_4_not_a_finding(self, capsys, tmp_path, monkeypatch):
+        def broken_scan(*args, **kwargs):
+            # a generator like the real scan, so it raises mid-iteration
+            raise InconsistencyError("no pair for 1 2 3 4 1 2 3 4")
+            yield
+
+        monkeypatch.setattr(cli, "conjecture_scan", broken_scan)
+        code, _, err = run_cli(
+            capsys,
+            "scan",
+            "--target",
+            "theorem7",
+            "--max-len",
+            "8",
+            "--out",
+            str(tmp_path / "x.jsonl"),
+        )
+        assert code == 4
+        assert "internal inconsistency: no pair for 1 2 3 4 1 2 3 4" in err
+        assert "Traceback" not in err
+
 
 class TestVerify:
     def test_thue_bundle(self, capsys):
@@ -358,3 +396,40 @@ class TestConsoleScript:
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         json.loads(proc.stdout)
+
+
+CENSUS_SCRIPT = os.path.join(
+    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+    "scripts",
+    "uniform_alphabet_census.py",
+)
+
+
+class TestCensusScript:
+    def test_length_6_table(self):
+        proc = subprocess.run(
+            [sys.executable, CENSUS_SCRIPT, "--length", "6"],
+            capture_output=True,
+            text=True,
+            env=_checkout_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        lines = proc.stdout.splitlines()
+        assert lines[0] == "length 6: 171 fixed points (no unambiguous 1-uniform morphism)"
+        assert [line.split() for line in lines[1:]] == [
+            ["vars", "least_k", "patterns"],
+            ["1", "1", "1"],
+            ["2", "2", "21"],
+            ["3", "2", "6"],
+            ["3", "3", "4"],
+        ]
+
+    def test_inconsistency_is_exit_4(self, capsys, monkeypatch):
+        spec = importlib.util.spec_from_file_location("uniform_alphabet_census", CENSUS_SCRIPT)
+        census = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(census)
+        monkeypatch.setattr(census, "search_1uniform", lambda *args, **kwargs: None)
+        code = census.main(["--length", "3"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "internal inconsistency: renaming must be unambiguous" in err

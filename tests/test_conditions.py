@@ -108,6 +108,22 @@ class TestCandidatePairs:
     def test_empty_pattern_has_no_pairs(self):
         assert candidate_pairs(Pattern(())) == []
 
+    def test_matches_pair_condition_on_every_short_pattern(self):
+        # candidate_pairs re-derives pair_condition's clauses; both must
+        # accept exactly the same pairs on every canonical pattern up to 8.
+        from unambig.explorer import enumerate_canonical_patterns
+
+        for length in range(9):
+            for pattern in enumerate_canonical_patterns(length):
+                variables = sorted(pattern.variables)
+                expected = [
+                    (i, j)
+                    for i in variables
+                    for j in variables
+                    if i < j and pair_condition(pattern, i, j).passes
+                ]
+                assert candidate_pairs(pattern) == expected, pattern
+
     def test_passing_pairs_verify_as_unambiguous(self):
         # The point of the condition: off fixed points, passing pairs give
         # unambiguous merged morphisms.  Exhaustive at length 8, m = 2.
