@@ -2,8 +2,9 @@
 
 Exit codes are uniform across subcommands: 0 the checked property holds or a
 witness was found, 1 it fails or nothing was found, 2 malformed usage or
-input, 3 a search budget or enumeration guard was exceeded, 4 an internal
-inconsistency (a result contradicting a proven statement, i.e. a bug).
+input, 3 a search budget, enumeration or recursion-depth guard was exceeded,
+4 an internal inconsistency (a result contradicting a proven statement, i.e.
+a bug).
 Input errors go to standard error with the offending token; results go to
 standard output, as labeled ``key: value`` lines or as JSON with ``--json``.
 """

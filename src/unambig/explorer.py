@@ -101,6 +101,13 @@ def search_1uniform(
     """The first 1-uniform morphism over at most ``alphabet_size`` letters
     that is unambiguous with respect to the pattern, or None.
 
+    Fixed points are rejected outright, since every nonerasing morphism is
+    ambiguous there: the answer is None and no coloring reaches the solver.
+    The check goes through the fixed-point memo, so each renaming class is
+    searched once.  A check that runs out of budget falls through to the
+    sweep; so on a fixed point, a budget that covers the check but not the
+    sweep gives None, not BudgetError.
+
     Colorings of the variables (ordered by first occurrence) are enumerated
     up to letter-renaming symmetry, which is lossless: ambiguity depends only
     on the image word, which a renaming does not change in substance.
@@ -109,6 +116,8 @@ def search_1uniform(
         raise DomainError("the pattern must be non-empty")
     if not 1 <= alphabet_size <= len(ALPHABET):
         raise DomainError(f"alphabet size must be between 1 and {len(ALPHABET)}, got {alphabet_size}")
+    if isinstance(is_fixed_point(pattern, budget=budget), FixedPoint):
+        return None
     ordered = first_occurrence_order(pattern)
     for coloring in canonical_colorings(len(ordered), alphabet_size):
         sigma = Morphism.of({var: ALPHABET[c] for var, c in zip(ordered, coloring)})

@@ -11,6 +11,8 @@ The search is deterministic: variables are assigned in order of first
 occurrence, candidate image lengths ascend from 0 (or 1 when erasing images
 are disallowed), and pruning never changes the order in which solutions
 appear.  One node is one candidate image tried for an unassigned variable.
+The search recurses once per pattern symbol; a pattern too long for the
+interpreter's recursion limit raises ResourceError.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterator, Sequence
 
-from .errors import DomainError
+from .errors import DomainError, ResourceError
 from .morphisms import Morphism, Substitution
 from .words import Pattern, canonical_form, first_occurrence_order, validate_word
 
@@ -73,6 +75,14 @@ def _make_ticker(counter: list[int], budget: int) -> Callable[[], None]:
         counter[0] += 1
 
     return tick
+
+
+def _too_deep(length: int) -> ResourceError:
+    # _iter_assignments nests one generator frame per pattern symbol, so a
+    # long enough pattern overruns the interpreter's recursion limit
+    return ResourceError(
+        f"a pattern of length {length} is too long for the recursive preimage search"
+    )
 
 
 def _validate_budget(budget: int) -> None:
@@ -181,6 +191,8 @@ def find_alternative(
             )
     except _BudgetHit:
         return BudgetExhausted(nodes_explored=counter[0])
+    except RecursionError as exc:
+        raise _too_deep(len(pattern)) from exc
     return NoWitness(nodes_explored=counter[0])
 
 
@@ -217,10 +229,13 @@ def enumerate_preimages(
         raise DomainError(f"limit must be >= 1, got {limit!r}")
     min_len = 0 if allow_erasing else 1
     out: list[Morphism] = []
-    for assignment in _iter_assignments(pattern.symbols, word, min_len, lambda: None):
-        out.append(Morphism.of(assignment))
-        if limit is not None and len(out) >= limit:
-            break
+    try:
+        for assignment in _iter_assignments(pattern.symbols, word, min_len, lambda: None):
+            out.append(Morphism.of(assignment))
+            if limit is not None and len(out) >= limit:
+                break
+    except RecursionError as exc:
+        raise _too_deep(len(pattern)) from exc
     return out
 
 
@@ -271,6 +286,8 @@ def is_fixed_point(
             break
     except _BudgetHit:
         return BudgetExhausted(nodes_explored=counter[0])
+    except RecursionError as exc:
+        raise _too_deep(len(key)) from exc
     entry = (found, counter[0])
     if len(_FP_CACHE) < _FP_CACHE_LIMIT:
         _FP_CACHE[key] = entry

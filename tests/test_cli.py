@@ -366,6 +366,29 @@ class TestUsageErrors:
         assert code == 2
 
 
+LONG = " ".join(str(1 + i % 7) for i in range(1200))
+
+
+class TestLongPatterns:
+    # the recursive preimage search nests one frame per pattern symbol, so
+    # this pattern overruns the recursion limit; that is a resource limit,
+    # not a failed property
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("fixed-point", "--pattern", LONG),
+            ("check-ambiguity", "--pattern", LONG, "--morphism", "1=a,2=b,3=c,4=a,5=b,6=c,7=a"),
+            ("search-uniform", "--pattern", LONG, "--alphabet-size", "2"),
+        ],
+        ids=["fixed-point", "check-ambiguity", "search-uniform"],
+    )
+    def test_recursion_limit_is_exit_3(self, capsys, argv):
+        code, _, err = run_cli(capsys, *argv)
+        assert code == 3
+        assert "resource limit: a pattern of length 1200" in err
+        assert "Traceback" not in err
+
+
 def _checkout_env():
     """Environment whose PYTHONPATH starts with the directory this process
     imported ``unambig`` from, so a child interpreter runs the same code

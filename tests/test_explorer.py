@@ -16,13 +16,35 @@ from unambig.explorer import (
 )
 from unambig.generators import squares_pattern
 from unambig.morphisms import Morphism
-from unambig.solver import FixedPoint, NoWitness, is_ambiguous, is_fixed_point
-from unambig.words import Pattern, canonical_form, parse_pattern
+from unambig.solver import (
+    DEFAULT_BUDGET,
+    BudgetExhausted,
+    FixedPoint,
+    NoWitness,
+    Witness,
+    is_ambiguous,
+    is_fixed_point,
+)
+from unambig.words import ALPHABET, Pattern, canonical_form, first_occurrence_order, parse_pattern
 
 from conftest import naive_canonical_patterns
 
 A0 = parse_pattern("1 2 3 1 3 2")
 A1 = parse_pattern("1 2 3 4 1 4 3 2")
+
+
+def sweep_1uniform(pattern, alphabet_size, budget=DEFAULT_BUDGET):
+    """search_1uniform without its fixed-point check: run the solver on every
+    canonical coloring and return the first unambiguous morphism, or None."""
+    ordered = first_occurrence_order(pattern)
+    for coloring in canonical_colorings(len(ordered), alphabet_size):
+        sigma = Morphism.of({var: ALPHABET[c] for var, c in zip(ordered, coloring)})
+        verdict = is_ambiguous(sigma, pattern, budget=budget)
+        if isinstance(verdict, BudgetExhausted):
+            raise BudgetError(f"coloring {coloring} exceeded {budget} nodes")
+        if isinstance(verdict, NoWitness):
+            return sigma
+    return None
 
 
 class TestCanonicalColorings:
@@ -100,6 +122,37 @@ class TestSearch1Uniform:
     def test_budget_surfaces_as_error(self):
         with pytest.raises(BudgetError):
             search_1uniform(A1, 3, budget=1)
+
+    def test_fixed_point_needs_only_the_fixed_point_budget(self):
+        # the fixed-point check fits the budget, the coloring sweep does not
+        pattern = parse_pattern("1 2 1 2 3 3")
+        own = is_fixed_point(pattern)
+        assert isinstance(own, FixedPoint)
+        budget = own.nodes_explored
+        with pytest.raises(BudgetError):
+            sweep_1uniform(pattern, 2, budget=budget)
+        assert search_1uniform(pattern, 2, budget=budget) is None
+
+    @pytest.mark.parametrize("length", range(1, 8))
+    def test_matches_the_unfiltered_sweep(self, length):
+        for pattern in enumerate_canonical_patterns(length):
+            for k in range(1, len(pattern.variables) + 1):
+                assert search_1uniform(pattern, k) == sweep_1uniform(pattern, k)
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_solver_finds_every_coloring_of_a_fixed_point_ambiguous(self, length):
+        # search_1uniform no longer asks the solver on fixed points; this
+        # keeps the theorem behind that shortcut checked by the solver
+        for pattern in enumerate_canonical_patterns(length):
+            if not isinstance(is_fixed_point(pattern), FixedPoint):
+                continue
+            ordered = first_occurrence_order(pattern)
+            for coloring in canonical_colorings(len(ordered), len(ordered)):
+                sigma = Morphism.of({var: ALPHABET[c] for var, c in zip(ordered, coloring)})
+                verdict = is_ambiguous(sigma, pattern)
+                assert isinstance(verdict, Witness)
+                assert verdict.tau.apply(pattern) == sigma.apply(pattern)
+                assert any(verdict.tau[var] != sigma[var] for var in ordered)
 
     @pytest.mark.parametrize("length", range(1, 9))
     def test_full_alphabet_succeeds_exactly_off_fixed_points(self, length):

@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from unambig.errors import DomainError
+from unambig.errors import DomainError, ResourceError
 from unambig.morphisms import Morphism, Substitution, merge_morphism, renaming
 from unambig.solver import (
     BudgetExhausted,
@@ -192,6 +192,11 @@ class TestEnumeratePreimages:
         expected = oracle_preimages(pattern, word, allow_erasing=allow_erasing)
         assert sorted(got, key=str) == sorted(expected, key=str)
         assert len(set(map(str, got))) == len(got)
+
+    def test_too_long_for_the_recursion_limit(self):
+        pattern = Pattern(tuple(1 + i % 7 for i in range(1200)))
+        with pytest.raises(ResourceError, match="length 1200"):
+            enumerate_preimages(pattern, "a" * 1200, limit=1)
 
 
 class TestBudget:
