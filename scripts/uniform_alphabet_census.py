@@ -20,7 +20,7 @@ from collections import Counter
 
 from unambig.errors import InconsistencyError
 from unambig.explorer import enumerate_canonical_patterns, search_1uniform
-from unambig.solver import DEFAULT_BUDGET, FixedPoint, is_fixed_point
+from unambig.solver import DEFAULT_BUDGET, fixed_point_verdict
 
 
 def least_alphabet(pattern, budget: int) -> int:
@@ -47,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     fixed_points = 0
     tight = []
     for pattern in enumerate_canonical_patterns(args.length, min_vars=args.min_vars):
-        if isinstance(is_fixed_point(pattern, budget=args.budget), FixedPoint):
+        if fixed_point_verdict(pattern, budget=args.budget):
             fixed_points += 1
             continue
         n = len(pattern.variables)

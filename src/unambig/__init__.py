@@ -63,6 +63,7 @@ from .solver import (
     Witness,
     enumerate_preimages,
     find_alternative,
+    fixed_point_verdict,
     is_ambiguous,
     is_fixed_point,
 )
@@ -119,6 +120,7 @@ __all__ = [
     "factor_multiplicity",
     "find_alternative",
     "fixed_point_by_neighbourhoods",
+    "fixed_point_verdict",
     "has_unique_2_factors",
     "image_is_fixed_point",
     "is_ambiguous",

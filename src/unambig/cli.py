@@ -2,9 +2,8 @@
 
 Exit codes are uniform across subcommands: 0 the checked property holds or a
 witness was found, 1 it fails or nothing was found, 2 malformed usage or
-input, 3 a search budget, enumeration or recursion-depth guard was exceeded,
-4 an internal inconsistency (a result contradicting a proven statement, i.e.
-a bug).
+input, 3 a search budget or enumeration guard was exceeded, 4 an internal
+inconsistency (a result contradicting a proven statement, i.e. a bug).
 Input errors go to standard error with the offending token; results go to
 standard output, as labeled ``key: value`` lines or as JSON with ``--json``.
 """
@@ -42,9 +41,9 @@ from .solver import (
     DEFAULT_BUDGET,
     BudgetExhausted,
     FixedPoint,
-    NotFixedPoint,
     NoWitness,
     Witness,
+    fixed_point_verdict,
     is_ambiguous,
     is_fixed_point,
 )
@@ -269,7 +268,7 @@ def _verify_shortest(span: tuple[int, int], budget: int) -> Iterable[bool]:
     for n in range(span[0], span[1] + 1):
         pattern, sigma = shortest_non_fixed_point(n)
         yield _check(
-            isinstance(is_fixed_point(pattern, budget=budget), NotFixedPoint),
+            fixed_point_verdict(pattern, budget=budget) is False,
             f"n={n} pattern is not a fixed point",
         )
         yield _check(
@@ -313,7 +312,8 @@ def _verify_pair_theorem(max_len: int, budget: int) -> Iterable[bool]:
             if length % mult:
                 continue
             for pattern in enumerate_canonical_patterns(length, uniform_multiplicity=mult):
-                if isinstance(is_fixed_point(pattern, budget=budget), FixedPoint):
+                # a budget-exhausted check counts as "not a fixed point"
+                if fixed_point_verdict(pattern, budget=budget):
                     continue
                 patterns += 1
                 variables = sorted(pattern.variables)

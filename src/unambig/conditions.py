@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .errors import BudgetError, DomainError
 from .morphisms import erase_variable, merge_morphism
-from .solver import DEFAULT_BUDGET, BudgetExhausted, FixedPoint, is_fixed_point
+from .solver import DEFAULT_BUDGET, fixed_point_verdict
 from .words import BOUNDARY, Pattern, factor_multiplicity, neighbourhoods, word_to_pattern
 
 
@@ -127,10 +127,10 @@ def image_is_fixed_point(pattern: Pattern, i: int, j: int, *, budget: int = DEFA
     ambiguous, so searches can skip it without running the solver.
     """
     word = merge_morphism(pattern.variables, i, j).apply(pattern)
-    verdict = is_fixed_point(word_to_pattern(word), budget=budget)
-    if isinstance(verdict, BudgetExhausted):
+    verdict = fixed_point_verdict(word_to_pattern(word), budget=budget)
+    if verdict is None:
         raise BudgetError(f"fixed-point check of the merged image exceeded {budget} nodes")
-    return isinstance(verdict, FixedPoint)
+    return verdict
 
 
 def has_unique_2_factors(word: str) -> bool:
@@ -160,14 +160,13 @@ def billaud_instance(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> Billa
         raise DomainError("the conjecture instance needs at least 3 distinct variables")
     delta_status: dict[int, bool] = {}
     for var in sorted(pattern.variables):
-        verdict = is_fixed_point(erase_variable(pattern, var), budget=budget)
-        if isinstance(verdict, BudgetExhausted):
+        verdict = fixed_point_verdict(erase_variable(pattern, var), budget=budget)
+        if verdict is None:
             raise BudgetError(f"fixed-point check after deleting {var} exceeded {budget} nodes")
-        delta_status[var] = isinstance(verdict, FixedPoint)
-    own = is_fixed_point(pattern, budget=budget)
-    if isinstance(own, BudgetExhausted):
+        delta_status[var] = verdict
+    alpha_fp = fixed_point_verdict(pattern, budget=budget)
+    if alpha_fp is None:
         raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
-    alpha_fp = isinstance(own, FixedPoint)
     hypothesis = all(delta_status.values())
     return BillaudReport(
         delta_fixed_point=delta_status,

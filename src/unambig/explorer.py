@@ -19,14 +19,7 @@ from typing import Iterator
 from .conditions import BillaudReport, billaud_instance, image_is_fixed_point, pair_condition
 from .errors import BudgetError, DomainError, InconsistencyError, ResourceError
 from .morphisms import Morphism, merge_morphism
-from .solver import (
-    DEFAULT_BUDGET,
-    BudgetExhausted,
-    FixedPoint,
-    NoWitness,
-    is_ambiguous,
-    is_fixed_point,
-)
+from .solver import DEFAULT_BUDGET, BudgetExhausted, NoWitness, fixed_point_verdict, is_ambiguous
 from .words import ALPHABET, Pattern, first_occurrence_order, parse_pattern
 
 MAX_ENUMERATION_LENGTH = 16
@@ -51,10 +44,10 @@ def search_sigma_ij(
     variables = sorted(pattern.variables)
     if len(variables) < 2:
         raise DomainError("the pattern needs at least 2 distinct variables")
-    own = is_fixed_point(pattern, budget=budget)
-    if isinstance(own, BudgetExhausted):
+    own = fixed_point_verdict(pattern, budget=budget)
+    if own is None:
         raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
-    if isinstance(own, FixedPoint):
+    if own:
         return None
     settled: set[tuple[int, int]] = set()
     for i in variables:
@@ -116,7 +109,7 @@ def search_1uniform(
         raise DomainError("the pattern must be non-empty")
     if not 1 <= alphabet_size <= len(ALPHABET):
         raise DomainError(f"alphabet size must be between 1 and {len(ALPHABET)}, got {alphabet_size}")
-    if isinstance(is_fixed_point(pattern, budget=budget), FixedPoint):
+    if fixed_point_verdict(pattern, budget=budget):
         return None
     ordered = first_occurrence_order(pattern)
     for coloring in canonical_colorings(len(ordered), alphabet_size):
@@ -267,10 +260,9 @@ class ScanRecord:
 
 def _scan_pattern(pattern: Pattern, target: str, budget: int) -> ScanRecord:
     var_count = len(pattern.variables)
-    fp = is_fixed_point(pattern, budget=budget)
-    if isinstance(fp, BudgetExhausted):
+    alpha_fp = fixed_point_verdict(pattern, budget=budget)
+    if alpha_fp is None:
         return ScanRecord(pattern, None, var_count, None, None, True, False)
-    alpha_fp = isinstance(fp, FixedPoint)
 
     if target == "conjecture3":
         try:

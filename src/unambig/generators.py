@@ -16,7 +16,7 @@ from typing import Iterator
 
 from .errors import BudgetError, DomainError, ResourceError
 from .morphisms import Morphism
-from .solver import DEFAULT_BUDGET, BudgetExhausted, FixedPoint, is_fixed_point
+from .solver import DEFAULT_BUDGET, fixed_point_verdict
 from .words import ALPHABET, Pattern, canonical_form, is_square_free
 
 _THUE_RULES = {"a": "abc", "b": "ac", "c": "b"}
@@ -253,9 +253,9 @@ def splice(alpha1: Pattern, alpha2: Pattern, beta: Pattern, *, budget: int = DEF
     for name, part in (("outer pattern", gamma), ("inserted block", beta)):
         if not part:
             continue
-        verdict = is_fixed_point(part, budget=budget)
-        if isinstance(verdict, BudgetExhausted):
+        verdict = fixed_point_verdict(part, budget=budget)
+        if verdict is None:
             raise BudgetError(f"fixed-point check of the {name} exceeded {budget} nodes")
-        if isinstance(verdict, FixedPoint):
+        if verdict:
             raise DomainError(f"the {name} is a fixed point of a nontrivial morphism")
     return alpha1 + beta + alpha2

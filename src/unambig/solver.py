@@ -11,18 +11,20 @@ The search is deterministic: variables are assigned in order of first
 occurrence, candidate image lengths ascend from 0 (or 1 when erasing images
 are disallowed), and pruning never changes the order in which solutions
 appear.  One node is one candidate image tried for an unassigned variable.
-The search recurses once per pattern symbol; a pattern too long for the
-interpreter's recursion limit raises ResourceError.
+The search walks the pattern with an explicit stack of choice points, one per
+assigned variable, so its depth is bounded by memory, not by the interpreter's
+recursion limit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Sequence
+from math import inf
+from typing import Iterator, Sequence
 
-from .errors import DomainError, ResourceError
+from .errors import DomainError
 from .morphisms import Morphism, Substitution
-from .words import Pattern, canonical_form, first_occurrence_order, validate_word
+from .words import Pattern, canonical_symbols, first_occurrence_order, validate_word
 
 DEFAULT_BUDGET = 10**8
 
@@ -68,36 +70,21 @@ class _BudgetHit(Exception):
     pass
 
 
-def _make_ticker(counter: list[int], budget: int) -> Callable[[], None]:
-    def tick() -> None:
-        if counter[0] >= budget:
-            raise _BudgetHit
-        counter[0] += 1
-
-    return tick
-
-
-def _too_deep(length: int) -> ResourceError:
-    # _iter_assignments nests one generator frame per pattern symbol, so a
-    # long enough pattern overruns the interpreter's recursion limit
-    return ResourceError(
-        f"a pattern of length {length} is too long for the recursive preimage search"
-    )
-
-
 def _validate_budget(budget: int) -> None:
     if not isinstance(budget, int) or budget < 1:
         raise DomainError(f"budget must be a positive node count, got {budget!r}")
 
 
 def _iter_assignments(
-    symbols: tuple[int, ...], word: Sequence, min_len: int, tick: Callable[[], None]
+    symbols: tuple[int, ...], word: Sequence, min_len: int, counter: list[int], budget: float
 ) -> Iterator[dict]:
     """Yield every variable assignment whose pointwise image equals ``word``.
 
     ``word`` may be a str or a tuple; images are slices of it.  Candidates are
     pruned by remaining-length feasibility: the unassigned occurrences in the
     suffix must be able to stretch (or shrink) to exactly the remaining word.
+    ``counter[0]`` holds the node count whenever an assignment is yielded and
+    when the search ends; trying a node beyond ``budget`` raises _BudgetHit.
     """
     n = len(symbols)
     total = len(word)
@@ -115,35 +102,61 @@ def _iter_assignments(
         row[idx[p]] += 1
         suffix[p] = row
     images: list = [None] * len(order)
-
-    def rec(p: int, q: int, pending: int, free: int) -> Iterator[dict]:
-        # pending: minimal total image length of symbols[p:] under the current
-        # assignment; free: occurrences in symbols[p:] of unassigned variables
-        if q + pending > total:
-            return
-        if p == n:
-            if q == total:
-                yield {order[x]: images[x] for x in range(len(order))}
-            return
-        if free == 0 and q + pending != total:
-            return
-        x = idx[p]
-        img = images[x]
-        if img is not None:
+    # One choice point per assigned variable: [p, q, rest_min, free, x, ln, hi, occ],
+    # where ln is the image length currently tried and hi the largest feasible one.
+    stack: list[list] = []
+    nodes = 0
+    # p, q: positions in symbols and word; pending: minimal total image length
+    # of symbols[p:] under the current assignment; free: occurrences in
+    # symbols[p:] of unassigned variables
+    p, q, pending, free = 0, 0, min_len * n, n
+    while True:
+        # walk forward over assigned variables to a dead end, a complete
+        # assignment or the next unassigned variable, which opens a choice point
+        while q + pending <= total:
+            if p == n:
+                if q == total:
+                    counter[0] = nodes
+                    yield {order[x]: images[x] for x in range(len(order))}
+                break
+            if free == 0 and q + pending != total:
+                break
+            x = idx[p]
+            img = images[x]
+            if img is None:
+                occ = suffix[p][x]
+                rest_min = pending - occ * min_len
+                hi = (total - q - rest_min) // occ
+                stack.append([p, q, rest_min, free, x, min_len - 1, hi, occ])
+                break
             ln = len(img)
-            if word[q : q + ln] == img:
-                yield from rec(p + 1, q + ln, pending - ln, free)
+            if word[q : q + ln] != img:
+                break
+            p += 1
+            q += ln
+            pending -= ln
+        # advance the innermost choice point that has a candidate left
+        while stack:
+            top = stack[-1]
+            ln = top[5] + 1
+            if ln <= top[6]:
+                break
+            images[top[4]] = None
+            stack.pop()
+        else:
+            counter[0] = nodes
             return
-        occ = suffix[p][x]
-        rest_min = pending - occ * min_len
-        hi = (total - q - rest_min) // occ
-        for ln in range(min_len, hi + 1):
-            tick()
-            images[x] = word[q : q + ln]
-            yield from rec(p + 1, q + ln, rest_min + (occ - 1) * ln, free - occ)
-            images[x] = None
-
-    yield from rec(0, 0, min_len * n, n)
+        if nodes >= budget:
+            counter[0] = nodes
+            raise _BudgetHit
+        nodes += 1
+        top[5] = ln
+        p, q, rest_min, free, x, _, _, occ = top
+        images[x] = word[q : q + ln]
+        p += 1
+        q += ln
+        pending = rest_min + (occ - 1) * ln
+        free -= occ
 
 
 def find_alternative(
@@ -172,10 +185,9 @@ def find_alternative(
         if excluded.apply(pattern) != word:
             raise DomainError("excluded morphism does not map the pattern onto the word")
     counter = [0]
-    tick = _make_ticker(counter, budget)
     min_len = 0 if allow_erasing else 1
     try:
-        for assignment in _iter_assignments(pattern.symbols, word, min_len, tick):
+        for assignment in _iter_assignments(pattern.symbols, word, min_len, counter, budget):
             differing = None
             if excluded is not None:
                 for var in sorted(assignment):
@@ -191,8 +203,6 @@ def find_alternative(
             )
     except _BudgetHit:
         return BudgetExhausted(nodes_explored=counter[0])
-    except RecursionError as exc:
-        raise _too_deep(len(pattern)) from exc
     return NoWitness(nodes_explored=counter[0])
 
 
@@ -229,13 +239,10 @@ def enumerate_preimages(
         raise DomainError(f"limit must be >= 1, got {limit!r}")
     min_len = 0 if allow_erasing else 1
     out: list[Morphism] = []
-    try:
-        for assignment in _iter_assignments(pattern.symbols, word, min_len, lambda: None):
-            out.append(Morphism.of(assignment))
-            if limit is not None and len(out) >= limit:
-                break
-    except RecursionError as exc:
-        raise _too_deep(len(pattern)) from exc
+    for assignment in _iter_assignments(pattern.symbols, word, min_len, [0], inf):
+        out.append(Morphism.of(assignment))
+        if limit is not None and len(out) >= limit:
+            break
     return out
 
 
@@ -260,6 +267,34 @@ def _fp_result(
     )
 
 
+def _fixed_point_entry(
+    pattern: Pattern, budget: int
+) -> tuple[tuple | None, int] | BudgetExhausted:
+    """The memo entry ``(phi_items, nodes)`` for the pattern's canonical form,
+    computing it on a miss; phi_items is None off fixed points."""
+    if not pattern:
+        raise DomainError("the pattern must be non-empty")
+    _validate_budget(budget)
+    key = canonical_symbols(pattern.symbols)
+    cached = _FP_CACHE.get(key)
+    if cached is not None and cached[1] <= budget:
+        return cached
+    counter = [0]
+    found: tuple | None = None
+    try:
+        for assignment in _iter_assignments(key, key, 0, counter, budget):
+            if all(image == (var,) for var, image in assignment.items()):
+                continue
+            found = tuple(sorted(assignment.items()))
+            break
+    except _BudgetHit:
+        return BudgetExhausted(nodes_explored=counter[0])
+    entry = (found, counter[0])
+    if len(_FP_CACHE) < _FP_CACHE_LIMIT:
+        _FP_CACHE[key] = entry
+    return entry
+
+
 def is_fixed_point(
     pattern: Pattern, *, budget: int = DEFAULT_BUDGET
 ) -> FixedPoint | NotFixedPoint | BudgetExhausted:
@@ -268,27 +303,20 @@ def is_fixed_point(
     Runs the preimage search on the pattern read as a word over its own
     variables, excluding the identity substitution.
     """
-    if not pattern:
-        raise DomainError("the pattern must be non-empty")
-    _validate_budget(budget)
-    key = canonical_form(pattern).symbols
-    cached = _FP_CACHE.get(key)
-    if cached is not None and cached[1] <= budget:
-        return _fp_result(pattern, cached[0], cached[1])
-    counter = [0]
-    tick = _make_ticker(counter, budget)
-    found: tuple | None = None
-    try:
-        for assignment in _iter_assignments(key, key, 0, tick):
-            if all(image == (var,) for var, image in assignment.items()):
-                continue
-            found = tuple(sorted(assignment.items()))
-            break
-    except _BudgetHit:
-        return BudgetExhausted(nodes_explored=counter[0])
-    except RecursionError as exc:
-        raise _too_deep(len(key)) from exc
-    entry = (found, counter[0])
-    if len(_FP_CACHE) < _FP_CACHE_LIMIT:
-        _FP_CACHE[key] = entry
-    return _fp_result(pattern, entry[0], entry[1])
+    entry = _fixed_point_entry(pattern, budget)
+    if isinstance(entry, BudgetExhausted):
+        return entry
+    return _fp_result(pattern, *entry)
+
+
+def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bool | None:
+    """Whether the pattern is the fixed point of a nontrivial morphism, or
+    None when the budget runs out first.
+
+    The same decision as :func:`is_fixed_point`, through the same memo, but no
+    witness substitution is built.
+    """
+    entry = _fixed_point_entry(pattern, budget)
+    if isinstance(entry, BudgetExhausted):
+        return None
+    return entry[0] is not None

@@ -88,15 +88,20 @@ def first_occurrence_order(pattern: Pattern) -> tuple[int, ...]:
     return tuple(dict.fromkeys(pattern.symbols))
 
 
-def canonical_form(pattern: Pattern) -> Pattern:
-    """Relabel variables as 1, 2, 3, ... in order of first occurrence."""
+def canonical_symbols(symbols: tuple[int, ...]) -> tuple[int, ...]:
+    """The symbols relabelled 1, 2, 3, ... in order of first occurrence."""
     relabel: dict[int, int] = {}
     out = []
-    for s in pattern.symbols:
+    for s in symbols:
         if s not in relabel:
             relabel[s] = len(relabel) + 1
         out.append(relabel[s])
-    return Pattern(tuple(out))
+    return tuple(out)
+
+
+def canonical_form(pattern: Pattern) -> Pattern:
+    """Relabel variables as 1, 2, 3, ... in order of first occurrence."""
+    return Pattern(canonical_symbols(pattern.symbols))
 
 
 @dataclass(frozen=True)

@@ -12,7 +12,7 @@ from unambig import cli
 from unambig.errors import InconsistencyError
 from unambig.explorer import SCAN_TARGETS, ScanRecord
 from unambig.morphisms import Morphism, Substitution
-from unambig.words import parse_pattern
+from unambig.words import Pattern, parse_pattern
 
 A0 = "1 2 3 1 3 2"
 A1 = "1 2 3 4 1 4 3 2"
@@ -370,23 +370,37 @@ LONG = " ".join(str(1 + i % 7) for i in range(1200))
 
 
 class TestLongPatterns:
-    # the recursive preimage search nests one frame per pattern symbol, so
-    # this pattern overruns the recursion limit; that is a resource limit,
-    # not a failed property
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ("fixed-point", "--pattern", LONG),
-            ("check-ambiguity", "--pattern", LONG, "--morphism", "1=a,2=b,3=c,4=a,5=b,6=c,7=a"),
-            ("search-uniform", "--pattern", LONG, "--alphabet-size", "2"),
-        ],
-        ids=["fixed-point", "check-ambiguity", "search-uniform"],
-    )
-    def test_recursion_limit_is_exit_3(self, capsys, argv):
-        code, _, err = run_cli(capsys, *argv)
-        assert code == 3
-        assert "resource limit: a pattern of length 1200" in err
-        assert "Traceback" not in err
+    # far longer than the interpreter's recursion limit: the search keeps its
+    # choice points on an explicit stack, so each command reaches a verdict
+    def test_fixed_point_gives_a_nontrivial_substitution(self, capsys):
+        code, out, err = run_cli(capsys, "fixed-point", "--pattern", LONG)
+        assert code == 0
+        assert "verdict: fixed-point" in out
+        assert "nodes: 1046" in out
+        phi = Substitution.parse(out.split("morphism: ", 1)[1].splitlines()[0])
+        pattern = parse_pattern(LONG)
+        assert phi.apply(pattern) == pattern
+        assert any(phi[v] != Pattern((v,)) for v in pattern.variables)
+        assert err == ""
+
+    def test_check_ambiguity_gives_a_witness(self, capsys):
+        sigma = Morphism.parse("1=a,2=b,3=c,4=a,5=b,6=c,7=a")
+        code, out, err = run_cli(
+            capsys, "check-ambiguity", "--pattern", LONG, "--morphism", str(sigma)
+        )
+        assert code == 1
+        assert "verdict: ambiguous" in out
+        tau = Morphism.parse(out.split("witness: ", 1)[1].splitlines()[0])
+        pattern = parse_pattern(LONG)
+        assert tau.apply(pattern) == sigma.apply(pattern)
+        assert tau != sigma
+        assert err == ""
+
+    def test_search_uniform_finds_no_binary_morphism(self, capsys):
+        code, out, err = run_cli(capsys, "search-uniform", "--pattern", LONG, "--alphabet-size", "2")
+        assert code == 1
+        assert out == "morphism: none\n"
+        assert err == ""
 
 
 def _checkout_env():

@@ -1,8 +1,20 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from unambig.errors import DomainError, ResourceError
+from unambig.errors import DomainError
+from unambig import solver
+from unambig.conditions import billaud_instance, image_is_fixed_point
+from unambig.explorer import (
+    SCAN_TARGETS,
+    conjecture_scan,
+    enumerate_canonical_patterns,
+    search_1uniform,
+    search_sigma_ij,
+)
+from unambig.generators import shortest_non_fixed_point, splice, squares_pattern, thue_morphism
 from unambig.morphisms import Morphism, Substitution, merge_morphism, renaming
 from unambig.solver import (
     BudgetExhausted,
@@ -12,6 +24,7 @@ from unambig.solver import (
     Witness,
     enumerate_preimages,
     find_alternative,
+    fixed_point_verdict,
     is_ambiguous,
     is_fixed_point,
 )
@@ -134,6 +147,15 @@ class TestIsFixedPoint:
         with pytest.raises(DomainError):
             is_fixed_point(Pattern(()))
 
+    def test_pattern_far_longer_than_the_recursion_limit(self):
+        pattern = Pattern(tuple(1 + i % 7 for i in range(20000)))
+        result = is_fixed_point(pattern)
+        assert isinstance(result, FixedPoint)
+        assert result.nodes_explored == 3016
+        assert result.phi.apply(pattern) == pattern
+        x = result.differing_variable
+        assert result.phi[x] != Pattern((x,))
+
     @pytest.mark.parametrize("length", range(1, 7))
     def test_matches_oracle_exhaustively(self, length):
         for pattern in naive_canonical_patterns(length):
@@ -156,6 +178,57 @@ class TestIsFixedPoint:
                     v: "ab"[(bits >> k) & 1] for k, v in enumerate(variables)
                 }
                 assert isinstance(is_ambiguous(Morphism.of(images), pattern), Witness)
+
+
+class TestFixedPointVerdict:
+    def renamed(self, pattern):
+        top = max(pattern.symbols)
+        return Pattern(tuple(3 * (top + 1 - s) for s in pattern.symbols))
+
+    def test_matches_is_fixed_point(self, monkeypatch):
+        # a fresh memo, so each side is checked on a miss and on a hit
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        for length in range(1, 9):
+            for pattern in enumerate_canonical_patterns(length):
+                verdict = fixed_point_verdict(pattern)
+                assert verdict == isinstance(is_fixed_point(pattern), FixedPoint)
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        for length in range(1, 9):
+            for pattern in enumerate_canonical_patterns(length):
+                copy = self.renamed(pattern)
+                expected = isinstance(is_fixed_point(copy), FixedPoint)
+                assert fixed_point_verdict(copy) == expected
+
+    @pytest.mark.parametrize("budget", range(1, 6))
+    def test_none_exactly_on_budget_exhaustion(self, budget):
+        for length in range(1, 9):
+            for pattern in enumerate_canonical_patterns(length):
+                for p in (pattern, self.renamed(pattern)):
+                    verdict = fixed_point_verdict(p, budget=budget)
+                    full = is_fixed_point(p, budget=budget)
+                    assert (verdict is None) == isinstance(full, BudgetExhausted)
+                    if verdict is not None:
+                        assert verdict == isinstance(full, FixedPoint)
+
+    def test_bool_callers_build_no_witness(self, monkeypatch):
+        def no_witness(*args):
+            raise AssertionError("a bool-only caller built a fixed-point witness")
+
+        monkeypatch.setattr(solver, "_fp_result", no_witness)
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        a0 = parse_pattern("1 2 3 1 3 2")
+        a1 = parse_pattern("1 2 3 4 1 4 3 2")
+        assert billaud_instance(a0).conjecture_instance_ok
+        assert image_is_fixed_point(a1, 2, 4)
+        assert search_sigma_ij(a1) is not None
+        assert search_sigma_ij(parse_pattern("1 2 3 4 1 2 3 4")) is None
+        assert search_1uniform(a0, 2) is None
+        assert search_1uniform(parse_pattern("1 2 1 2"), 2) is None
+        beta = parse_pattern("5 6 7 8 5 8 7 6")
+        assert splice(a1, Pattern(()), beta) == a1 + beta
+        for target in SCAN_TARGETS:
+            for record in conjecture_scan(8, target):
+                assert not record.finding
 
 
 def result_in(phi: Substitution, candidates: list[Substitution]) -> bool:
@@ -193,10 +266,11 @@ class TestEnumeratePreimages:
         assert sorted(got, key=str) == sorted(expected, key=str)
         assert len(set(map(str, got))) == len(got)
 
-    def test_too_long_for_the_recursion_limit(self):
+    def test_pattern_longer_than_the_recursion_limit(self):
         pattern = Pattern(tuple(1 + i % 7 for i in range(1200)))
-        with pytest.raises(ResourceError, match="length 1200"):
-            enumerate_preimages(pattern, "a" * 1200, limit=1)
+        found = enumerate_preimages(pattern, "a" * 1200, limit=1)
+        assert len(found) == 1
+        assert found[0].apply(pattern) == "a" * 1200
 
 
 class TestBudget:
@@ -223,3 +297,38 @@ class TestBudget:
         tight = find_alternative(pattern, word, budget=10**6)
         loose = find_alternative(pattern, word, budget=10**8)
         assert tight == loose
+
+
+# Images for the golden morphisms: variable v maps to images[(v - 1) % len].
+GOLDEN_IMAGES = ("ab", "abc", ("a", "ab", "b", "ba", "aab", "abb", "bab", "aa"))
+# sha256 of the results below, recorded with the recursive preimage search;
+# any change to a verdict type, a witness or a node count changes it.
+GOLDEN_DIGEST = "2d30593fa87ef4e53cbb3928975b9a85957d3a1fff4078f7f82ca005c196c3dd"
+
+
+def golden_results():
+    for length in range(1, 9):
+        for pattern in enumerate_canonical_patterns(length):
+            yield is_fixed_point(pattern)
+            yield is_fixed_point(pattern, budget=3)
+    for length in range(1, 8):
+        for pattern in enumerate_canonical_patterns(length):
+            for images in GOLDEN_IMAGES:
+                sigma = Morphism.of({v: images[(v - 1) % len(images)] for v in pattern.variables})
+                for erasing in (True, False):
+                    yield is_ambiguous(sigma, pattern, allow_erasing=erasing)
+                    yield is_ambiguous(sigma, pattern, allow_erasing=erasing, budget=7)
+            yield enumerate_preimages(pattern, sigma.apply(pattern), limit=50)
+    for n in (9, 10):
+        pattern, sigma = shortest_non_fixed_point(n)
+        yield is_fixed_point(pattern)
+        yield is_ambiguous(sigma, pattern)
+    for m in range(10, 17):
+        yield is_ambiguous(thue_morphism(m), squares_pattern(m))
+
+
+def test_golden_solver_digest():
+    digest = hashlib.sha256()
+    for result in golden_results():
+        digest.update(repr(result).encode() + b"\n")
+    assert digest.hexdigest() == GOLDEN_DIGEST
