@@ -16,15 +16,9 @@ import os
 import sys
 from typing import Iterable
 
-from .conditions import pair_condition
+from .checks import pair_theorem_checks, pi_db_checks, shortest_checks, thue_checks
 from .errors import DomainError, InconsistencyError, ResourceError
-from .explorer import (
-    SCAN_TARGETS,
-    conjecture_scan,
-    enumerate_canonical_patterns,
-    search_1uniform,
-    search_sigma_ij,
-)
+from .explorer import SCAN_TARGETS, conjecture_scan, search_1uniform, search_sigma_ij
 from .generators import (
     debruijn_patterns,
     debruijn_word,
@@ -33,34 +27,24 @@ from .generators import (
     exponent_pattern,
     shortest_non_fixed_point,
     squares_pattern,
-    thue_morphism,
     thue_word,
 )
-from .morphisms import Morphism, merge_morphism
+from .morphisms import Morphism
 from .solver import (
     DEFAULT_BUDGET,
     BudgetExhausted,
     FixedPoint,
-    NoWitness,
     Witness,
-    fixed_point_verdict,
     is_ambiguous,
     is_fixed_point,
 )
-from .words import Pattern, parse_pattern
+from .words import parse_pattern
 
 EXIT_HOLDS = 0
 EXIT_FAILS = 1
 EXIT_USAGE = 2
 EXIT_RESOURCE = 3
 EXIT_INCONSISTENT = 4
-
-# known prefix of the ternary square-free word used by the verify bundle
-THUE_PREFIX_21 = "abcacbabcbacabcacbaca"
-DEBRUIJN_3_2 = "aabacbbcca"
-# obtained from aabacbbcca by replacing each letter's occurrences with
-# fresh variables, two blocks for the a's and one for each other letter
-DB_PATTERN_SAMPLE = "1 1 2 3 4 2 2 4 4 3"
 
 
 def _positive(text: str) -> int:
@@ -73,7 +57,7 @@ def _positive(text: str) -> int:
     return value
 
 
-def _span(text: str) -> tuple[int, int]:
+def _span(text: str) -> range:
     """Inclusive integer range: either a single number or ``A..B``."""
     lo, sep, hi = text.partition("..")
     try:
@@ -83,7 +67,7 @@ def _span(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected N or A..B, got {text!r}")
     if first > last:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
-    return first, last
+    return range(first, last + 1)
 
 
 def _emit(args: argparse.Namespace, record: dict, human: Iterable[str]) -> None:
@@ -244,104 +228,20 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     return EXIT_FAILS if findings else EXIT_HOLDS
 
 
-def _check(ok: bool, description: str) -> bool:
-    print(f"{'ok' if ok else 'FAIL'}: {description}")
-    return ok
-
-
-def _verify_thue(span: tuple[int, int], budget: int) -> Iterable[bool]:
-    yield _check(thue_word(21) == THUE_PREFIX_21, "square-free word prefix of length 21")
-    for m in range(span[0], span[1] + 1):
-        alpha = squares_pattern(m)
-        yield _check(
-            search_1uniform(alpha, 2, budget=budget) is None,
-            f"no binary unambiguous 1-uniform morphism for the m={m} squares pattern",
-        )
-        verdict = is_ambiguous(thue_morphism(m), alpha, budget=budget)
-        yield _check(
-            isinstance(verdict, NoWitness),
-            f"ternary square-free morphism unambiguous at m={m}",
-        )
-
-
-def _verify_shortest(span: tuple[int, int], budget: int) -> Iterable[bool]:
-    for n in range(span[0], span[1] + 1):
-        pattern, sigma = shortest_non_fixed_point(n)
-        yield _check(
-            fixed_point_verdict(pattern, budget=budget) is False,
-            f"n={n} pattern is not a fixed point",
-        )
-        yield _check(
-            len(pattern.variables) == n and all(pattern.multiplicity(v) == 2 for v in pattern.variables),
-            f"n={n} pattern has {n} variables, each twice",
-        )
-        yield _check(
-            isinstance(is_ambiguous(sigma, pattern, budget=budget), NoWitness),
-            f"n={n} binary morphism unambiguous",
-        )
-
-
-def _verify_pi_db(k: int, budget: int) -> Iterable[bool]:
-    yield _check(debruijn_word(3, 2) == DEBRUIJN_3_2, "de Bruijn word for k=3, n=2")
-    items = list(debruijn_patterns(k))
-    expected_vars = (k - 1) * (k // 2) + (k + 1) // 2
-    yield _check(
-        all(len(item.pattern.variables) == expected_vars for item in items),
-        f"every pattern has exactly {expected_vars} variables",
-    )
-    distinct = {item.pattern for item in items}
-    yield _check(len(distinct) >= 36, f"at least 36 distinct patterns (got {len(distinct)})")
-    if k == 3:
-        yield _check(parse_pattern(DB_PATTERN_SAMPLE) in distinct, "sample pattern emitted")
-    checked: set[tuple[Pattern, Morphism]] = set()
-    bad = 0
-    for item in items:
-        key = (item.pattern, item.natural_morphism)
-        if key in checked:
-            continue
-        checked.add(key)
-        if not isinstance(is_ambiguous(item.natural_morphism, item.pattern, budget=budget), NoWitness):
-            bad += 1
-    yield _check(bad == 0, f"all {len(checked)} natural morphisms unambiguous")
-
-
-def _verify_pair_theorem(max_len: int, budget: int) -> Iterable[bool]:
-    patterns = checked_pairs = violations = 0
-    for length in range(2, max_len + 1):
-        for mult in range(2, length + 1):
-            if length % mult:
-                continue
-            for pattern in enumerate_canonical_patterns(length, uniform_multiplicity=mult):
-                # a budget-exhausted check counts as "not a fixed point"
-                if fixed_point_verdict(pattern, budget=budget):
-                    continue
-                patterns += 1
-                variables = sorted(pattern.variables)
-                for i in variables:
-                    for j in variables:
-                        if i == j or not pair_condition(pattern, i, j).passes:
-                            continue
-                        checked_pairs += 1
-                        sigma = merge_morphism(variables, i, j)
-                        if not isinstance(is_ambiguous(sigma, pattern, budget=budget), NoWitness):
-                            violations += 1
-    yield _check(
-        violations == 0,
-        f"{checked_pairs} passing pairs across {patterns} uniform non-fixed-point "
-        f"patterns of length <= {max_len} all verify unambiguous",
-    )
-
-
 def _cmd_verify(args: argparse.Namespace) -> int:
     if args.bundle == "thue":
-        results = _verify_thue(args.m, args.budget)
+        checks = thue_checks(args.m)
     elif args.bundle == "shortest":
-        results = _verify_shortest(args.n, args.budget)
+        checks = shortest_checks(args.n)
     elif args.bundle == "pi-db":
-        results = _verify_pi_db(args.k, args.budget)
+        checks = pi_db_checks(args.k)
     else:
-        results = _verify_pair_theorem(args.max_len, args.budget)
-    return EXIT_HOLDS if all(list(results)) else EXIT_FAILS
+        checks = pair_theorem_checks(args.max_len)
+    failed = 0
+    for ok, description in checks:
+        print(f"{'ok' if ok else 'FAIL'}: {description}")
+        failed += not ok
+    return EXIT_FAILS if failed else EXIT_HOLDS
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -428,14 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     verify = commands.add_parser("verify", help="run a named bundle of exact checks")
     bundles = verify.add_subparsers(dest="bundle", required=True)
     vthue = bundles.add_parser("thue", help="square-free word family checks")
-    vthue.add_argument("--m", type=_span, default=(4, 6), metavar="A..B")
+    vthue.add_argument("--m", type=_span, default=range(4, 7), metavar="A..B")
     vshort = bundles.add_parser("shortest", help="shortest non-fixed-point pattern checks")
-    vshort.add_argument("--n", type=_span, default=(2, 8), metavar="A..B")
+    vshort.add_argument("--n", type=_span, default=range(2, 9), metavar="A..B")
     vpidb = bundles.add_parser("pi-db", help="de Bruijn pattern family checks")
     vpidb.add_argument("--k", type=_positive, default=3)
     vpair = bundles.add_parser("pair-theorem", help="pair condition soundness sweep")
     vpair.add_argument("--max-len", type=_positive, default=10)
-    verify.set_defaults(handler=_cmd_verify, budget=DEFAULT_BUDGET)
+    verify.set_defaults(handler=_cmd_verify)
 
     return parser
 

@@ -10,6 +10,7 @@ itself a fixed point.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import BudgetError, DomainError
 from .morphisms import erase_variable, merge_morphism
@@ -55,16 +56,45 @@ class PairConditionReport:
     passes: bool
 
 
-def _ij_then_ji(symbols: tuple[int, ...], i: int, j: int) -> bool:
-    # Disjoint occurrences only; overlapping ones like i j i share the middle
-    # symbol and do not count.  Erasing j and doubling i (or vice versa)
-    # re-parses the merged image exactly when both orientations occur apart,
-    # so the test must be blind to which orientation comes first.
-    ij = [p for p in range(len(symbols) - 1) if symbols[p] == i and symbols[p + 1] == j]
-    ji = [p for p in range(len(symbols) - 1) if symbols[p] == j and symbols[p + 1] == i]
-    if not ij or not ji:
-        return False
-    return ji[-1] >= ij[0] + 2 or ij[-1] >= ji[0] + 2
+def _pair_clauses(pattern: Pattern):
+    """A function of a pair (i, j) giving the fields of its
+    PairConditionReport, in order.
+
+    What does not depend on the pair is computed once, here.
+    """
+    counts = set(pattern.multiplicities.values())
+    uniform = counts.pop() if len(counts) == 1 else None
+    uniform_ok = uniform is not None and uniform >= 2
+    nbh = neighbourhoods(pattern)
+    variables = sorted(pattern.variables)
+    lefts = [(k, nbh.left[k]) for k in variables]
+    rights = [(k, nbh.right[k]) for k in variables]
+    factor_positions: dict[tuple[int, int], list[int]] = {}
+    for p, factor in enumerate(zip(pattern.symbols, pattern.symbols[1:])):
+        factor_positions.setdefault(factor, []).append(p)
+
+    def clauses(i: int, j: int) -> tuple[int | None, int | None, int | None, bool, bool]:
+        pair = {i, j}
+        left = _least_holder(lefts, pair)
+        right = _least_holder(rights, pair)
+        # Disjoint occurrences only; overlapping ones like i j i share the
+        # middle symbol and do not count.  Erasing j and doubling i (or vice
+        # versa) re-parses the merged image exactly when both orientations
+        # occur apart, so the test must be blind to which orientation comes
+        # first.
+        ij = factor_positions.get((i, j))
+        ji = factor_positions.get((j, i))
+        apart = bool(ij and ji) and (ji[-1] >= ij[0] + 2 or ij[-1] >= ji[0] + 2)
+        return uniform, left, right, apart, uniform_ok and left is None and right is None and not apart
+
+    return clauses
+
+
+def _least_holder(sides: list[tuple[int, frozenset[int]]], pair: set[int]) -> int | None:
+    for k, side in sides:
+        if pair <= side:
+            return k
+    return None
 
 
 def pair_condition(pattern: Pattern, i: int, j: int) -> PairConditionReport:
@@ -72,27 +102,7 @@ def pair_condition(pattern: Pattern, i: int, j: int) -> PairConditionReport:
         raise DomainError(f"variables {i}, {j} must both occur in the pattern")
     if i == j:
         raise DomainError("the pair must consist of two distinct variables")
-    counts = set(pattern.multiplicities.values())
-    uniform = counts.pop() if len(counts) == 1 else None
-    nbh = neighbourhoods(pattern)
-    pair = {i, j}
-    covered_left = next((k for k in sorted(pattern.variables) if pair <= nbh.left[k]), None)
-    covered_right = next((k for k in sorted(pattern.variables) if pair <= nbh.right[k]), None)
-    ordered = _ij_then_ji(pattern.symbols, i, j)
-    passes = (
-        uniform is not None
-        and uniform >= 2
-        and covered_left is None
-        and covered_right is None
-        and not ordered
-    )
-    return PairConditionReport(
-        uniform_multiplicity=uniform,
-        covered_by_left=covered_left,
-        covered_by_right=covered_right,
-        has_ij_then_ji=ordered,
-        passes=passes,
-    )
+    return PairConditionReport(*_pair_clauses(pattern)(i, j))
 
 
 def candidate_pairs(pattern: Pattern) -> list[tuple[int, int]]:
@@ -100,24 +110,10 @@ def candidate_pairs(pattern: Pattern) -> list[tuple[int, int]]:
 
     The condition is symmetric, so the i < j representatives lose nothing.
     """
-    counts = set(pattern.multiplicities.values())
-    uniform = counts.pop() if len(counts) == 1 else None
-    if uniform is None or uniform < 2:
+    if len(pattern.variables) < 2:
         return []
-    nbh = neighbourhoods(pattern)
-    ordered = sorted(pattern.variables)
-    sides = list(nbh.left.values()) + list(nbh.right.values())
-    out = []
-    for a in range(len(ordered)):
-        for b in range(a + 1, len(ordered)):
-            i, j = ordered[a], ordered[b]
-            pair = {i, j}
-            if any(pair <= side for side in sides):
-                continue
-            if _ij_then_ji(pattern.symbols, i, j):
-                continue
-            out.append((i, j))
-    return out
+    clauses = _pair_clauses(pattern)
+    return [pair for pair in combinations(sorted(pattern.variables), 2) if clauses(*pair)[-1]]
 
 
 def image_is_fixed_point(pattern: Pattern, i: int, j: int, *, budget: int = DEFAULT_BUDGET) -> bool:

@@ -260,18 +260,17 @@ class ScanRecord:
 
 def _scan_pattern(pattern: Pattern, target: str, budget: int) -> ScanRecord:
     var_count = len(pattern.variables)
-    alpha_fp = fixed_point_verdict(pattern, budget=budget)
-    if alpha_fp is None:
-        return ScanRecord(pattern, None, var_count, None, None, True, False)
-
     if target == "conjecture3":
+        # billaud_instance decides the pattern itself too; only on a budget
+        # hit is the pattern's own verdict (None or a bool) asked for again
         try:
             report = billaud_instance(pattern, budget=budget)
         except BudgetError:
+            alpha_fp = fixed_point_verdict(pattern, budget=budget)
             return ScanRecord(pattern, alpha_fp, var_count, None, None, True, False)
         return ScanRecord(
             pattern,
-            alpha_fp,
+            report.alpha_is_fixed_point,
             var_count,
             None,
             None,
@@ -280,6 +279,9 @@ def _scan_pattern(pattern: Pattern, target: str, budget: int) -> ScanRecord:
             billaud=report,
         )
 
+    alpha_fp = fixed_point_verdict(pattern, budget=budget)
+    if alpha_fp is None:
+        return ScanRecord(pattern, None, var_count, None, None, True, False)
     if alpha_fp:
         # every nonerasing morphism is ambiguous on a fixed point, so there
         # is nothing to search and nothing to flag

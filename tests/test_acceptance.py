@@ -6,32 +6,23 @@ terminal so the suite doubles as a runnable acceptance report:
     pytest tests/test_acceptance.py -v
 
 Everything here is exact: counts, words, and verdicts are asserted with no
-tolerances.  The sweeps run at full advertised scale on one core.
+tolerances.  The sweeps run at full advertised scale on one core.  Criteria
+02, 03, 05 and 09 assert the bundles of ``unambig.checks``, the same checks
+``unambig verify`` prints.
 """
 
 import itertools
 import time
 from contextlib import contextmanager
 
+from unambig.checks import pair_theorem_checks, pi_db_checks, shortest_checks, thue_checks
 from unambig.conditions import (
     candidate_pairs,
     has_unique_2_factors,
     image_is_fixed_point,
     pair_condition,
 )
-from unambig.explorer import (
-    canonical_colorings,
-    conjecture_scan,
-    enumerate_canonical_patterns,
-    search_1uniform,
-)
-from unambig.generators import (
-    debruijn_patterns,
-    debruijn_word,
-    squares_pattern,
-    thue_morphism,
-    thue_word,
-)
+from unambig.explorer import canonical_colorings, conjecture_scan, enumerate_canonical_patterns
 from unambig.morphisms import Morphism, merge_morphism
 from unambig.solver import (
     FixedPoint,
@@ -80,26 +71,14 @@ def test_01_running_example(capsys):
 
 def test_02_square_free_ternary_family(capsys):
     with criterion(capsys, 2, "square-free-ternary-family"):
-        assert thue_word(21) == "abcacbabcbacabcacbaca"
-        for m in (4, 5, 6):
-            alpha = squares_pattern(m)
-            assert search_1uniform(alpha, 2) is None
-            sigma = thue_morphism(m)
-            assert sigma.letters <= {"a", "b", "c"}
-            assert isinstance(is_ambiguous(sigma, alpha), NoWitness)
+        for ok, description in thue_checks(range(4, 7)):
+            assert ok, description
 
 
 def test_03_shortest_binary_patterns(capsys):
     with criterion(capsys, 3, "shortest-binary-patterns"):
-        from unambig.generators import shortest_non_fixed_point
-
-        for n in range(2, 9):
-            pattern, sigma = shortest_non_fixed_point(n)
-            assert len(pattern.variables) == n
-            assert all(count == 2 for count in pattern.multiplicities.values())
-            assert isinstance(is_fixed_point(pattern), NotFixedPoint)
-            assert sigma.letters <= {"a", "b"}
-            assert isinstance(is_ambiguous(sigma, pattern), NoWitness)
+        for ok, description in shortest_checks(range(2, 9)):
+            assert ok, description
         # Minimality at n = 4: every strictly shorter 4-variable pattern is a
         # fixed point, so length 8 really is the least possible.
         shorter = 0
@@ -135,27 +114,13 @@ def test_04_merged_morphism_examples(capsys):
 
 def test_05_pair_condition_soundness(capsys):
     with criterion(capsys, 5, "pair-condition-soundness"):
-        checked = 0
-        for length in range(2, 11):
-            for mult in range(2, length + 1):
-                if length % mult:
-                    continue
-                for pattern in enumerate_canonical_patterns(
-                    length, uniform_multiplicity=mult
-                ):
-                    if isinstance(is_fixed_point(pattern), FixedPoint):
-                        continue
-                    variables = sorted(pattern.variables)
-                    for i in variables:
-                        for j in variables:
-                            if i == j or not pair_condition(pattern, i, j).passes:
-                                continue
-                            sigma = merge_morphism(variables, i, j)
-                            assert isinstance(
-                                is_ambiguous(sigma, pattern), NoWitness
-                            ), (pattern, i, j)
-                            checked += 1
-        assert checked == 4380
+        assert list(pair_theorem_checks(10)) == [
+            (
+                True,
+                "4380 passing pairs across 1122 uniform non-fixed-point "
+                "patterns of length <= 10 all verify unambiguous",
+            )
+        ]
 
 
 def test_06_seven_variable_pair_existence(capsys):
@@ -213,16 +178,8 @@ def test_08_unique_2_factor_images(capsys):
 
 def test_09_debruijn_pattern_family(capsys):
     with criterion(capsys, 9, "debruijn-pattern-family"):
-        assert debruijn_word(3, 2) == "aabacbbcca"
-        items = list(debruijn_patterns(3))
-        assert all(len(item.pattern.variables) == 4 for item in items)
-        distinct = {item.pattern for item in items}
-        assert len(distinct) >= 36
-        assert parse_pattern("1 1 2 3 4 2 2 4 4 3") in distinct
-        for item in items:
-            assert isinstance(
-                is_ambiguous(item.natural_morphism, item.pattern), NoWitness
-            ), item
+        for ok, description in pi_db_checks(3):
+            assert ok, description
 
 
 def test_10_preimage_oracle_equivalence(capsys):

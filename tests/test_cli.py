@@ -8,10 +8,11 @@ import sys
 import pytest
 
 import unambig
-from unambig import cli
+from unambig import checks, cli
 from unambig.errors import InconsistencyError
 from unambig.explorer import SCAN_TARGETS, ScanRecord
 from unambig.morphisms import Morphism, Substitution
+from unambig.solver import Witness
 from unambig.words import Pattern, parse_pattern
 
 A0 = "1 2 3 1 3 2"
@@ -323,6 +324,38 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "verify", "pair-theorem", "--max-len", "6")
         assert code == 0
         assert all(line.startswith("ok: ") for line in out.splitlines())
+
+    def test_pi_db_bundle(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "pi-db", "--k", "3")
+        assert code == 0
+        assert all(line.startswith("ok: ") for line in out.splitlines())
+
+    def test_failing_check_is_exit_1_and_every_line_prints(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "is_ambiguous", lambda sigma, pattern: Witness(sigma, None, 0))
+        code, out, _ = run_cli(capsys, "verify", "thue", "--m", "4..4")
+        assert code == 1
+        assert out.splitlines() == [
+            "ok: square-free word prefix of length 21",
+            "ok: no binary unambiguous 1-uniform morphism for the m=4 squares pattern",
+            "ok: square-free morphism at m=4 uses only a, b, c",
+            "FAIL: ternary square-free morphism unambiguous at m=4",
+        ]
+
+    def test_pair_theorem_failure_names_the_first_violation(self, capsys, monkeypatch):
+        monkeypatch.setattr(checks, "is_ambiguous", lambda sigma, pattern: Witness(sigma, None, 0))
+        code, out, _ = run_cli(capsys, "verify", "pair-theorem", "--max-len", "6")
+        assert code == 1
+        assert out == (
+            "FAIL: 6 passing pairs across 26 uniform non-fixed-point patterns of length <= 6 "
+            "all verify unambiguous (first violation: pattern 1 1 2 2 3 3, pair (1, 3))\n"
+        )
+
+    def test_resource_limit_inside_a_bundle_is_exit_3(self, capsys):
+        # bundles are lazy, so the guard fires while the handler consumes them
+        code, _, err = run_cli(capsys, "verify", "pi-db", "--k", "5")
+        assert code == 3
+        assert "resource limit" in err
+        assert "Traceback" not in err
 
     def test_bad_span_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "thue", "--m", "6..4")

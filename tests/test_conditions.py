@@ -109,7 +109,7 @@ class TestCandidatePairs:
         assert candidate_pairs(Pattern(())) == []
 
     def test_matches_pair_condition_on_every_short_pattern(self):
-        # candidate_pairs re-derives pair_condition's clauses; both must
+        # candidate_pairs and pair_condition share one predicate; both must
         # accept exactly the same pairs on every canonical pattern up to 8.
         from unambig.explorer import enumerate_canonical_patterns
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from unambig.conditions import billaud_instance
 from unambig.errors import BudgetError, DomainError, ResourceError
 from unambig.explorer import (
     ScanRecord,
@@ -22,6 +23,7 @@ from unambig.solver import (
     FixedPoint,
     NoWitness,
     Witness,
+    fixed_point_verdict,
     is_ambiguous,
     is_fixed_point,
 )
@@ -275,6 +277,21 @@ class TestScanRecord:
         assert ScanRecord.from_json(line) == record
 
 
+def conjecture3_record(pattern, budget):
+    """The conjecture3 record built from two decisions of the pattern: its
+    own fixed-point verdict first, then billaud_instance."""
+    var_count = len(pattern.variables)
+    alpha_fp = fixed_point_verdict(pattern, budget=budget)
+    if alpha_fp is None:
+        return ScanRecord(pattern, None, var_count, None, None, True, False)
+    try:
+        report = billaud_instance(pattern, budget=budget)
+    except BudgetError:
+        return ScanRecord(pattern, alpha_fp, var_count, None, None, True, False)
+    finding = not report.conjecture_instance_ok
+    return ScanRecord(pattern, alpha_fp, var_count, None, None, False, finding, billaud=report)
+
+
 class TestConjectureScan:
     def test_theorem7_smallest_length(self):
         records = list(conjecture_scan(8, "theorem7"))
@@ -311,6 +328,16 @@ class TestConjectureScan:
             assert record.billaud is not None
             assert record.billaud.conjecture_instance_ok
             assert not record.finding
+
+    def test_conjecture3_matches_two_decisions_at_every_budget(self):
+        # The scan decides each pattern once, through billaud_instance; its
+        # records must equal those of deciding the pattern first, budget hits
+        # included.
+        patterns = [p for length in range(3, 8) for p in enumerate_canonical_patterns(length, min_vars=3)]
+        for budget in [*range(1, 41), DEFAULT_BUDGET]:
+            got = [r.to_json() for r in conjecture_scan(7, "conjecture3", budget=budget)]
+            expected = [conjecture3_record(p, budget).to_json() for p in patterns]
+            assert got == expected, budget
 
     def test_scope_guards(self):
         with pytest.raises(DomainError):
