@@ -11,6 +11,7 @@ from itertools import permutations
 from typing import Iterable, Iterator
 
 from .conditions import pair_condition
+from .errors import DomainError
 from .explorer import enumerate_canonical_patterns, search_1uniform
 from .generators import (
     debruijn_patterns,
@@ -26,6 +27,9 @@ from .words import parse_pattern
 
 Check = tuple[bool, str]
 
+# smallest m for which the squares-pattern statement holds; below it a
+# binary 1-uniform morphism is unambiguous on 1 1 2 2 ... m m
+THUE_MIN_M = 4
 # known prefix of the ternary square-free word
 THUE_PREFIX_21 = "abcacbabcbacabcacbaca"
 DEBRUIJN_3_2 = "aabacbbcca"
@@ -36,7 +40,12 @@ DB_PATTERN_SAMPLE = "1 1 2 3 4 2 2 4 4 3"
 
 def thue_checks(ms: Iterable[int]) -> Iterator[Check]:
     """Over two letters no 1-uniform morphism is unambiguous on the squares
-    pattern 1 1 2 2 ... m m; the ternary square-free morphism is."""
+    pattern 1 1 2 2 ... m m for m >= THUE_MIN_M; the ternary square-free
+    morphism is.  An m below that range is a DomainError, raised before the
+    first check."""
+    ms = list(ms)
+    if any(m < THUE_MIN_M for m in ms):
+        raise DomainError(f"the squares-pattern statement needs m >= {THUE_MIN_M}, got m={min(ms)}")
     yield thue_word(21) == THUE_PREFIX_21, "square-free word prefix of length 21"
     for m in ms:
         alpha = squares_pattern(m)

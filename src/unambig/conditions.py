@@ -4,7 +4,8 @@ Each check here is a sound shortcut for a question the solver could settle by
 exhaustive search: a neighbourhood shape that forces a pattern to be a fixed
 point, a pair condition that forces the pair-merging morphism to be
 unambiguous, and a filter that rules a pair out because its image word is
-itself a fixed point.
+itself a fixed point.  The neighbourhood shape is defined in ``words``, since
+the solver uses it too, and re-exported here.
 """
 
 from __future__ import annotations
@@ -15,28 +16,13 @@ from itertools import combinations
 from .errors import BudgetError, DomainError
 from .morphisms import erase_variable, merge_morphism
 from .solver import DEFAULT_BUDGET, fixed_point_verdict
-from .words import BOUNDARY, Pattern, factor_multiplicity, neighbourhoods, word_to_pattern
-
-
-def fixed_point_by_neighbourhoods(pattern: Pattern) -> tuple[int, int] | None:
-    """A variable certifying fixed-point-ness by its neighbourhoods, if any.
-
-    Returns ``(i, 1)`` for the least i whose every left neighbour k satisfies
-    R_k = {i} with the boundary absent from L_i, else ``(i, 2)`` for the least
-    i satisfying the mirrored condition, else None.  Presence implies the
-    pattern is a fixed point of a nontrivial morphism; absence proves nothing.
-    """
-    nbh = neighbourhoods(pattern)
-    ordered = sorted(pattern.variables)
-    for i in ordered:
-        left = nbh.left[i]
-        if BOUNDARY not in left and all(nbh.right[k] == {i} for k in left):
-            return (i, 1)
-    for i in ordered:
-        right = nbh.right[i]
-        if BOUNDARY not in right and all(nbh.left[k] == {i} for k in right):
-            return (i, 2)
-    return None
+from .words import (
+    Pattern,
+    factor_multiplicity,
+    fixed_point_by_neighbourhoods,
+    neighbourhoods,
+    word_to_pattern,
+)
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from functools import partial
 from multiprocessing import Pool
 from typing import Iterator
 
-from .conditions import BillaudReport, billaud_instance, image_is_fixed_point, pair_condition
+from .conditions import BillaudReport, _pair_clauses, billaud_instance, image_is_fixed_point
 from .errors import BudgetError, DomainError, InconsistencyError, ResourceError
 from .morphisms import Morphism, merge_morphism
 from .solver import DEFAULT_BUDGET, BudgetExhausted, NoWitness, fixed_point_verdict, is_ambiguous
@@ -50,6 +50,7 @@ def search_sigma_ij(
     if own:
         return None
     settled: set[tuple[int, int]] = set()
+    clauses = None  # the pair condition, built at the first pair that needs it
     for i in variables:
         for j in variables:
             if i == j or (j, i) in settled:
@@ -58,7 +59,9 @@ def search_sigma_ij(
                 settled.add((i, j))
                 continue
             sigma = merge_morphism(variables, i, j)
-            if pair_condition(pattern, i, j).passes:
+            if clauses is None:
+                clauses = _pair_clauses(pattern)
+            if clauses(i, j)[-1]:
                 return (i, j, sigma)
             verdict = is_ambiguous(sigma, pattern, budget=budget)
             if isinstance(verdict, BudgetExhausted):
@@ -96,10 +99,11 @@ def search_1uniform(
 
     Fixed points are rejected outright, since every nonerasing morphism is
     ambiguous there: the answer is None and no coloring reaches the solver.
-    The check goes through the fixed-point memo, so each renaming class is
-    searched once.  A check that runs out of budget falls through to the
-    sweep; so on a fixed point, a budget that covers the check but not the
-    sweep gives None, not BudgetError.
+    The check is :func:`fixed_point_verdict`: a renaming class is searched
+    at most once, and not at all when a certificate or the memo entry of the
+    reversed pattern answers.  A check that runs out of budget falls through
+    to the sweep; so on a fixed point, a budget that covers the check but not
+    the sweep gives None, not BudgetError.
 
     Colorings of the variables (ordered by first occurrence) are enumerated
     up to letter-renaming symmetry, which is lossless: ambiguity depends only

@@ -19,12 +19,18 @@ recursion limit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
+from math import comb, inf
 from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .morphisms import Morphism, Substitution
-from .words import Pattern, canonical_symbols, first_occurrence_order, validate_word
+from .words import (
+    Pattern,
+    canonical_symbols,
+    first_occurrence_order,
+    fixed_point_by_neighbourhoods,
+    validate_word,
+)
 
 DEFAULT_BUDGET = 10**8
 
@@ -246,6 +252,13 @@ def enumerate_preimages(
     return out
 
 
+# A node of the fixed-point search is a tuple of image lengths for the first
+# k variables in first-occurrence order, k >= 1, and the lengths sum to at
+# most n, the pattern's length: with v <= n variables that is at most
+# C(n + v + 1, v) - 1 <= C(2n + 1, n) - 1 nodes.  Longer patterns than the
+# table covers would need a budget above 10**18.
+_SEARCH_TREE_BOUND = tuple(comb(2 * n + 1, n) - 1 for n in range(32))
+
 # Fixed-point verdicts are memoized by canonical form: scans ask about the
 # same short patterns (deleted-variable images in particular) over and over.
 _FP_CACHE: dict[tuple[int, ...], tuple[tuple | None, int]] = {}
@@ -267,18 +280,14 @@ def _fp_result(
     )
 
 
-def _fixed_point_entry(
-    pattern: Pattern, budget: int
+def _fixed_point_search(
+    key: tuple[int, ...], budget: int
 ) -> tuple[tuple | None, int] | BudgetExhausted:
-    """The memo entry ``(phi_items, nodes)`` for the pattern's canonical form,
-    computing it on a miss; phi_items is None off fixed points."""
-    if not pattern:
-        raise DomainError("the pattern must be non-empty")
-    _validate_budget(budget)
-    key = canonical_symbols(pattern.symbols)
-    cached = _FP_CACHE.get(key)
-    if cached is not None and cached[1] <= budget:
-        return cached
+    """Search the canonical key for a nontrivial fixed-point morphism.
+
+    A completed search gives the memo entry ``(phi_items, nodes)``, with
+    phi_items None off fixed points, and stores it.
+    """
     counter = [0]
     found: tuple | None = None
     try:
@@ -303,9 +312,15 @@ def is_fixed_point(
     Runs the preimage search on the pattern read as a word over its own
     variables, excluding the identity substitution.
     """
-    entry = _fixed_point_entry(pattern, budget)
-    if isinstance(entry, BudgetExhausted):
-        return entry
+    key = canonical_symbols(pattern.symbols)
+    if not key:
+        raise DomainError("the pattern must be non-empty")
+    _validate_budget(budget)
+    entry = _FP_CACHE.get(key)
+    if entry is None or entry[1] > budget:
+        entry = _fixed_point_search(key, budget)
+        if isinstance(entry, BudgetExhausted):
+            return entry
     return _fp_result(pattern, *entry)
 
 
@@ -313,10 +328,35 @@ def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bo
     """Whether the pattern is the fixed point of a nontrivial morphism, or
     None when the budget runs out first.
 
-    The same decision as :func:`is_fixed_point`, through the same memo, but no
-    witness substitution is built.
+    The same decision as :func:`is_fixed_point`, but no witness substitution
+    is built.  A memo hit answers first.  Otherwise, when the budget covers
+    the whole search tree, the verdict comes without a search from a
+    variable occurring once, from the memo entry of the reversed pattern or
+    from :func:`fixed_point_by_neighbourhoods`; such an answer leaves no
+    memo entry.  Every other case runs the search.
     """
-    entry = _fixed_point_entry(pattern, budget)
+    key = canonical_symbols(pattern.symbols)
+    if not key:
+        raise DomainError("the pattern must be non-empty")
+    _validate_budget(budget)
+    entry = _FP_CACHE.get(key)
+    if entry is not None and entry[1] <= budget:
+        return entry[0] is not None
+    n = len(key)
+    # Within a budget that covers the whole search tree the search cannot
+    # run out, so an exact shortcut gives what the search would.
+    if n < len(_SEARCH_TREE_BOUND) and _SEARCH_TREE_BOUND[n] <= budget:
+        # phi(x) = pattern for the variable x occurring once, phi(y) empty
+        # for every other y
+        if n >= 2 and 1 in pattern.multiplicities.values():
+            return True
+        # phi(alpha) = alpha iff the mirrored phi fixes alpha reversed
+        mirrored = _FP_CACHE.get(canonical_symbols(key[::-1]))
+        if mirrored is not None:
+            return mirrored[0] is not None
+        if fixed_point_by_neighbourhoods(pattern) is not None:
+            return True
+    entry = _fixed_point_search(key, budget)
     if isinstance(entry, BudgetExhausted):
         return None
     return entry[0] is not None

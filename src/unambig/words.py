@@ -131,6 +131,38 @@ def neighbourhoods(pattern: Pattern) -> Neighbourhoods:
     )
 
 
+def fixed_point_by_neighbourhoods(pattern: Pattern) -> tuple[int, int] | None:
+    """A variable certifying fixed-point-ness by its neighbourhoods, if any.
+
+    Returns ``(i, 1)`` for the least i whose every left neighbour k satisfies
+    R_k = {i} with the boundary absent from L_i, else ``(i, 2)`` for the least
+    i satisfying the mirrored condition, else None.  Presence implies the
+    pattern is a fixed point of a nontrivial morphism; absence proves nothing.
+
+    A left neighbour k of i has i in R_k, so R_k = {i} holds exactly when k
+    has one right neighbour; the sets of :func:`neighbourhoods` are never
+    built, only the distinct adjacent pairs.
+    """
+    if not pattern:
+        raise DomainError("neighbourhoods are undefined for the empty pattern")
+    symbols = pattern.symbols
+    padded = (BOUNDARY, *symbols, BOUNDARY)
+    pairs = set(zip(padded, padded[1:]))
+    # the only right (left) neighbour of each symbol, or None once it has two
+    right_of: dict[int, int | None] = {}
+    left_of: dict[int, int | None] = {}
+    for a, b in pairs:
+        right_of[a] = None if a in right_of else b
+        left_of[b] = None if b in left_of else a
+    held = pattern.variables.difference([b for a, b in pairs if right_of[a] is None], symbols[:1])
+    if held:
+        return (min(held), 1)
+    held = pattern.variables.difference([a for a, b in pairs if left_of[b] is None], symbols[-1:])
+    if held:
+        return (min(held), 2)
+    return None
+
+
 def is_square_free(word: Sequence) -> bool:
     """True iff no factor of the form vv with v non-empty occurs.
 

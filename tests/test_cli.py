@@ -357,6 +357,20 @@ class TestVerify:
         assert "resource limit" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("span", ["2..3", "0", "1..5"])
+    def test_thue_below_the_statement_range_is_usage_error(self, capsys, span):
+        code, out, err = run_cli(capsys, "verify", "thue", "--m", span)
+        assert code == 2
+        assert out == ""
+        assert "m >= 4" in err
+        assert "Traceback" not in err
+
+    def test_thue_at_the_least_m_holds(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "thue", "--m", "4..4")
+        assert code == 0
+        assert len(out.splitlines()) == 4
+        assert all(line.startswith("ok: ") for line in out.splitlines())
+
     def test_bad_span_is_usage_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "thue", "--m", "6..4")
         assert code == 2

@@ -12,7 +12,7 @@ from unambig.conditions import (
 from unambig.errors import BudgetError, DomainError
 from unambig.morphisms import merge_morphism
 from unambig.solver import FixedPoint, NoWitness, Witness, is_ambiguous, is_fixed_point
-from unambig.words import Pattern, parse_pattern
+from unambig.words import BOUNDARY, Pattern, neighbourhoods, parse_pattern
 
 from conftest import naive_canonical_patterns, pattern_strategy
 
@@ -40,6 +40,25 @@ class TestNeighbourhoodLemma:
         for pattern in naive_canonical_patterns(length):
             if fixed_point_by_neighbourhoods(pattern) is not None:
                 assert isinstance(is_fixed_point(pattern), FixedPoint)
+
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_matches_the_neighbourhood_sets(self, length):
+        # The certificate read straight off the sets L_x and R_x.
+        def by_sets(pattern):
+            nbh = neighbourhoods(pattern)
+            ordered = sorted(pattern.variables)
+            for i in ordered:
+                if BOUNDARY not in nbh.left[i] and all(nbh.right[k] == {i} for k in nbh.left[i]):
+                    return (i, 1)
+            for i in ordered:
+                if BOUNDARY not in nbh.right[i] and all(nbh.left[k] == {i} for k in nbh.right[i]):
+                    return (i, 2)
+            return None
+
+        for pattern in naive_canonical_patterns(length):
+            renamed = Pattern(tuple(3 * (length + 1 - s) for s in pattern.symbols))
+            for p in (pattern, renamed):
+                assert fixed_point_by_neighbourhoods(p) == by_sets(p), p
 
 
 class TestPairCondition:

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 
@@ -8,6 +9,7 @@ import hypothesis.strategies as st
 from unambig.conditions import billaud_instance
 from unambig.errors import BudgetError, DomainError, ResourceError
 from unambig.explorer import (
+    SCAN_TARGETS,
     ScanRecord,
     canonical_colorings,
     conjecture_scan,
@@ -292,7 +294,27 @@ def conjecture3_record(pattern, budget):
     return ScanRecord(pattern, alpha_fp, var_count, None, None, False, finding, billaud=report)
 
 
+# sha256 and record count of the conjecture_scan(8, target) JSONL, one
+# to_json() line per record, recorded before the fixed-point shortcuts; any
+# change to a record of these scans changes them.
+SCAN_DIGESTS = {
+    "conjecture1": (3651, "d204f68315db0a8ff18960a44771dcc813d5cbc4d804703265614b32de9a78bc"),
+    "conjecture2": (3651, "472a67e1318b0598a323058ebdefacb3b8ad64a3a7742192c43b33ab847f6ca1"),
+    "conjecture3": (5040, "62dedd5407dd6485886a0d5418063184952b3458bc2c7ae9e2bf5cf6e7ac7736"),
+    "theorem7": (105, "6c4a9e4dfc64e6f8c892d811247edbdd600285e5040d0803ad63bf9caac0b546"),
+}
+
+
 class TestConjectureScan:
+    @pytest.mark.parametrize("target", SCAN_TARGETS)
+    def test_scan_output_is_pinned(self, target):
+        digest = hashlib.sha256()
+        records = 0
+        for record in conjecture_scan(8, target):
+            digest.update((record.to_json() + "\n").encode())
+            records += 1
+        assert (records, digest.hexdigest()) == SCAN_DIGESTS[target]
+
     def test_theorem7_smallest_length(self):
         records = list(conjecture_scan(8, "theorem7"))
         assert len(records) == 105

@@ -1,4 +1,6 @@
 import hashlib
+from functools import lru_cache
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -28,7 +30,7 @@ from unambig.solver import (
     is_ambiguous,
     is_fixed_point,
 )
-from unambig.words import Pattern, parse_pattern
+from unambig.words import Pattern, canonical_form, fixed_point_by_neighbourhoods, parse_pattern
 
 from conftest import (
     naive_canonical_patterns,
@@ -229,6 +231,86 @@ class TestFixedPointVerdict:
         for target in SCAN_TARGETS:
             for record in conjecture_scan(8, target):
                 assert not record.finding
+
+
+def search_tree_size(pattern):
+    """Tuples of image lengths for the first k of v variables (1 <= k <= v)
+    summing to at most len(pattern): the fixed-point search tries at most
+    this many nodes."""
+    n, v = len(pattern), len(pattern.variables)
+    return comb(n + v + 1, v) - 1
+
+
+def certified(pattern):
+    """Whether one of fixed_point_verdict's two certificates holds."""
+    singleton = len(pattern) >= 2 and 1 in pattern.multiplicities.values()
+    return singleton or fixed_point_by_neighbourhoods(pattern) is not None
+
+
+@lru_cache(maxsize=None)
+def decided():
+    """Every canonical pattern of length <= 9 with its is_fixed_point result."""
+    return [
+        (pattern, is_fixed_point(pattern))
+        for length in range(1, 10)
+        for pattern in enumerate_canonical_patterns(length)
+    ]
+
+
+class TestFixedPointShortcuts:
+    def test_search_stays_within_the_tree_bound(self):
+        tight = []
+        for pattern, result in decided():
+            bound = search_tree_size(pattern)
+            assert result.nodes_explored <= bound <= solver._SEARCH_TREE_BOUND[len(pattern)], pattern
+            if result.nodes_explored == bound:
+                tight.append(pattern)
+        assert tight == [parse_pattern("1")]
+
+    def test_certificates_imply_fixed_points(self):
+        singletons = neighbourhoods = 0
+        for pattern, result in decided():
+            if len(pattern) >= 2 and 1 in pattern.multiplicities.values():
+                singletons += 1
+                assert isinstance(result, FixedPoint), pattern
+            if fixed_point_by_neighbourhoods(pattern) is not None:
+                neighbourhoods += 1
+                assert isinstance(result, FixedPoint), pattern
+        assert singletons > 0 and neighbourhoods > 0
+
+    def test_reversal_answers_from_the_mirrored_entry(self, monkeypatch):
+        expected = {p: isinstance(r, FixedPoint) for p, r in decided() if len(p) <= 8}
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        mirrored = 0
+        for pattern, fixed in expected.items():
+            reverse = Pattern(pattern.symbols[::-1])
+            assert fixed_point_verdict(reverse) == fixed
+            assert fixed_point_verdict(pattern) == fixed
+            if not certified(pattern) and pattern.symbols not in solver._FP_CACHE:
+                # neither a certificate nor a memo hit nor a search answered
+                mirrored += 1
+                assert canonical_form(reverse).symbols in solver._FP_CACHE
+        assert mirrored > 0
+
+    def test_budgets_below_the_tree_bound_get_the_search_verdict(self, monkeypatch):
+        # no memo, so every verdict comes from a shortcut or a search
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        monkeypatch.setattr(solver, "_FP_CACHE_LIMIT", 0)
+        certified_none = 0
+        for pattern, result in decided():
+            if len(pattern) > 8:
+                continue
+            gate = solver._SEARCH_TREE_BOUND[len(pattern)]
+            for budget in {gate - 1, search_tree_size(pattern) - 1, result.nodes_explored - 1} - {0}:
+                verdict = fixed_point_verdict(pattern, budget=budget)
+                full = is_fixed_point(pattern, budget=budget)
+                assert (verdict is None) == isinstance(full, BudgetExhausted), (pattern, budget)
+                if verdict is None:
+                    certified_none += certified(pattern)
+                else:
+                    assert verdict == isinstance(full, FixedPoint)
+        assert certified_none > 0
+        assert solver._FP_CACHE == {}
 
 
 def result_in(phi: Substitution, candidates: list[Substitution]) -> bool:
