@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import permutations
 from typing import Iterable, Iterator
 
-from .conditions import pair_condition
+from .conditions import _pair_clauses
 from .errors import DomainError
 from .explorer import enumerate_canonical_patterns, search_1uniform
 from .generators import (
@@ -112,8 +112,9 @@ def pair_theorem_checks(max_len: int) -> Iterator[Check]:
                 if fixed_point_verdict(pattern):
                     continue
                 patterns += 1
+                clauses = _pair_clauses(pattern)
                 for i, j in permutations(sorted(pattern.variables), 2):
-                    if not pair_condition(pattern, i, j).passes:
+                    if not clauses(i, j)[-1]:
                         continue
                     checked_pairs += 1
                     sigma = merge_morphism(pattern.variables, i, j)

@@ -212,10 +212,10 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 def _cmd_scan(args: argparse.Namespace) -> int:
     records = findings = budget_hits = 0
+    # the scan checks its arguments here, before the output file is truncated
+    scan = conjecture_scan(args.max_len, args.target, budget=args.budget, workers=args.workers)
     with open(args.out, "w", encoding="ascii") as sink:
-        for record in conjecture_scan(
-            args.max_len, args.target, budget=args.budget, workers=args.workers
-        ):
+        for record in scan:
             sink.write(record.to_json() + "\n")
             records += 1
             findings += record.finding

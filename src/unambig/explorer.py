@@ -337,7 +337,8 @@ def conjecture_scan(
     Scopes: conjectures 1 and 2 take patterns with at least 4 distinct
     variables, conjecture 3 at least 3, and theorem7 takes patterns with more
     than 3 variables all of multiplicity 2.  Records stream in enumeration
-    order regardless of the worker count.
+    order regardless of the worker count.  The arguments are checked when the
+    scan is called, before the first record is asked for.
     """
     if target not in SCAN_TARGETS:
         raise DomainError(f"unknown scan target {target!r}; expected one of {', '.join(SCAN_TARGETS)}")
@@ -345,7 +346,12 @@ def conjecture_scan(
         raise ResourceError(f"scans support max_len <= {MAX_SCAN_LENGTH}, got {max_len}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
-    patterns = _scan_scope(max_len, target)
+    return _scan_records(_scan_scope(max_len, target), target, budget, workers)
+
+
+def _scan_records(
+    patterns: Iterator[Pattern], target: str, budget: int, workers: int
+) -> Iterator[ScanRecord]:
     if workers == 1:
         for pattern in patterns:
             yield _scan_pattern(pattern, target, budget)

@@ -10,10 +10,11 @@ nontrivial morphism.
 The search is deterministic: variables are assigned in order of first
 occurrence, candidate image lengths ascend from 0 (or 1 when erasing images
 are disallowed), and pruning never changes the order in which solutions
-appear.  One node is one candidate image tried for an unassigned variable.
-The search walks the pattern with an explicit stack of choice points, one per
-assigned variable, so its depth is bounded by memory, not by the interpreter's
-recursion limit.
+appear.  One node is one candidate image counted for an unassigned variable;
+the last variable's candidates that cannot end on the word's end are counted
+without being tried.  The search walks the pattern with an explicit stack of
+choice points, one per assigned variable, so its depth is bounded by memory,
+not by the interpreter's recursion limit.
 """
 
 from __future__ import annotations
@@ -89,8 +90,11 @@ def _iter_assignments(
     ``word`` may be a str or a tuple; images are slices of it.  Candidates are
     pruned by remaining-length feasibility: the unassigned occurrences in the
     suffix must be able to stretch (or shrink) to exactly the remaining word.
+    One node is one candidate image counted.  The last variable's candidates
+    that cannot end on the word's end are counted without being tried.
     ``counter[0]`` holds the node count whenever an assignment is yielded and
-    when the search ends; trying a node beyond ``budget`` raises _BudgetHit.
+    when the search ends; counting a node beyond ``budget`` raises _BudgetHit
+    with ``counter[0] == budget``.
     """
     n = len(symbols)
     total = len(word)
@@ -101,68 +105,82 @@ def _iter_assignments(
             index[s] = len(order)
             order.append(s)
     idx = [index[s] for s in symbols]
-    # suffix[p][x]: occurrences of variable slot x within symbols[p:]
-    suffix = [[0] * len(order) for _ in range(n + 1)]
-    for p in range(n - 1, -1, -1):
-        row = suffix[p + 1][:]
-        row[idx[p]] += 1
-        suffix[p] = row
-    images: list = [None] * len(order)
-    # One choice point per assigned variable: [p, q, rest_min, free, x, ln, hi, occ],
-    # where ln is the image length currently tried and hi the largest feasible one.
-    stack: list[list] = []
+    counts = [0] * len(order)
+    for s in idx:
+        counts[s] += 1
+    last = len(order) - 1
+    if min_len * n > total:
+        counter[0] = 0
+        return
+    # Variable slots are assigned in order, each at its first occurrence, so
+    # every symbol before position p is assigned.  images[-1] belongs to a
+    # sentinel choice point that has no candidates.
+    images: list = [None] * (len(order) + 1)
+    # The innermost choice point is held in locals: it opened at position cp
+    # in symbols and cq in word for slot x, which occurs occ times; base is
+    # the least length of the word with x's occurrences left out, so image
+    # length ln for x gives reach base + occ * ln; ln is the length tried and
+    # hi the largest one with reach <= total.  Outer choice points wait on
+    # the stack as tuples.
+    stack: list[tuple] = []
+    cp = cq = base = occ = ln = hi = 0
+    x = -1
     nodes = 0
-    # p, q: positions in symbols and word; pending: minimal total image length
-    # of symbols[p:] under the current assignment; free: occurrences in
-    # symbols[p:] of unassigned variables
-    p, q, pending, free = 0, 0, min_len * n, n
+    # p, q: positions in symbols and word; reach: the least length of the
+    # word under the current assignment.  hi keeps reach <= total, so the walk
+    # needs no length check, and once the last variable is assigned reach is
+    # the exact length, equal to total.
+    p, q, reach = 0, 0, min_len * n
     while True:
-        # walk forward over assigned variables to a dead end, a complete
+        # walk forward over assigned variables to a mismatch, a complete
         # assignment or the next unassigned variable, which opens a choice point
-        while q + pending <= total:
+        while True:
             if p == n:
                 if q == total:
                     counter[0] = nodes
-                    yield {order[x]: images[x] for x in range(len(order))}
+                    yield dict(zip(order, images))
                 break
-            if free == 0 and q + pending != total:
-                break
-            x = idx[p]
-            img = images[x]
+            s = idx[p]
+            img = images[s]
             if img is None:
-                occ = suffix[p][x]
-                rest_min = pending - occ * min_len
-                hi = (total - q - rest_min) // occ
-                stack.append([p, q, rest_min, free, x, min_len - 1, hi, occ])
+                stack.append((cp, cq, base, x, ln, hi, occ))
+                occ = counts[s]
+                base = reach - occ * min_len
+                cp, cq, x, ln = p, q, s, min_len - 1
+                hi = (total - base) // occ
+                if s == last:
+                    # Only the length (total - base) / occ reaches the word's
+                    # end; the shorter candidates, and hi when that length is
+                    # not whole, are counted without being tried.
+                    dead = hi - ln - ((total - base) % occ == 0)
+                    if dead:
+                        if nodes + dead > budget:
+                            counter[0] = budget
+                            raise _BudgetHit
+                        nodes += dead
+                        ln += dead
                 break
-            ln = len(img)
-            if word[q : q + ln] != img:
+            k = len(img)
+            if word[q : q + k] != img:
                 break
             p += 1
-            q += ln
-            pending -= ln
+            q += k
         # advance the innermost choice point that has a candidate left
-        while stack:
-            top = stack[-1]
-            ln = top[5] + 1
-            if ln <= top[6]:
-                break
-            images[top[4]] = None
-            stack.pop()
-        else:
-            counter[0] = nodes
-            return
+        while ln >= hi:
+            images[x] = None
+            if not stack:
+                counter[0] = nodes
+                return
+            cp, cq, base, x, ln, hi, occ = stack.pop()
         if nodes >= budget:
             counter[0] = nodes
             raise _BudgetHit
         nodes += 1
-        top[5] = ln
-        p, q, rest_min, free, x, _, _, occ = top
-        images[x] = word[q : q + ln]
-        p += 1
-        q += ln
-        pending = rest_min + (occ - 1) * ln
-        free -= occ
+        ln += 1
+        images[x] = word[cq : cq + ln]
+        p = cp + 1
+        q = cq + ln
+        reach = base + occ * ln
 
 
 def find_alternative(

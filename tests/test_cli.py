@@ -272,6 +272,22 @@ class TestScan:
         assert code == 3
         assert "resource limit" in err
 
+    def test_rejected_scan_leaves_an_existing_output_file_alone(self, capsys, tmp_path):
+        out_file = tmp_path / "x.jsonl"
+        out_file.write_bytes(b"precious\n")
+        code, _, _ = run_cli(
+            capsys,
+            "scan",
+            "--target",
+            "conjecture2",
+            "--max-len",
+            "15",
+            "--out",
+            str(out_file),
+        )
+        assert code == 3
+        assert out_file.read_bytes() == b"precious\n"
+
     def test_unknown_target_lists_every_target(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,

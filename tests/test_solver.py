@@ -1,6 +1,6 @@
 import hashlib
 from functools import lru_cache
-from math import comb
+from math import comb, inf
 
 import pytest
 from hypothesis import given, settings
@@ -235,7 +235,7 @@ class TestFixedPointVerdict:
 
 def search_tree_size(pattern):
     """Tuples of image lengths for the first k of v variables (1 <= k <= v)
-    summing to at most len(pattern): the fixed-point search tries at most
+    summing to at most len(pattern): the fixed-point search counts at most
     this many nodes."""
     n, v = len(pattern), len(pattern.variables)
     return comb(n + v + 1, v) - 1
@@ -379,6 +379,113 @@ class TestBudget:
         tight = find_alternative(pattern, word, budget=10**6)
         loose = find_alternative(pattern, word, budget=10**8)
         assert tight == loose
+
+
+def reference_assignments(symbols, word, min_len, counter, budget):
+    """The preimage search trying one candidate image per node, kept as the
+    oracle for solver._iter_assignments: same order, yields and counts."""
+    n = len(symbols)
+    total = len(word)
+    order = []
+    index = {}
+    for s in symbols:
+        if s not in index:
+            index[s] = len(order)
+            order.append(s)
+    idx = [index[s] for s in symbols]
+    suffix = [[0] * len(order) for _ in range(n + 1)]
+    for p in range(n - 1, -1, -1):
+        row = suffix[p + 1][:]
+        row[idx[p]] += 1
+        suffix[p] = row
+    images = [None] * len(order)
+    stack = []
+    nodes = 0
+    p, q, pending, free = 0, 0, min_len * n, n
+    while True:
+        while q + pending <= total:
+            if p == n:
+                if q == total:
+                    counter[0] = nodes
+                    yield {order[x]: images[x] for x in range(len(order))}
+                break
+            if free == 0 and q + pending != total:
+                break
+            x = idx[p]
+            img = images[x]
+            if img is None:
+                occ = suffix[p][x]
+                rest_min = pending - occ * min_len
+                hi = (total - q - rest_min) // occ
+                stack.append([p, q, rest_min, free, x, min_len - 1, hi, occ])
+                break
+            ln = len(img)
+            if word[q : q + ln] != img:
+                break
+            p += 1
+            q += ln
+            pending -= ln
+        while stack:
+            top = stack[-1]
+            ln = top[5] + 1
+            if ln <= top[6]:
+                break
+            images[top[4]] = None
+            stack.pop()
+        else:
+            counter[0] = nodes
+            return
+        if nodes >= budget:
+            counter[0] = nodes
+            raise solver._BudgetHit
+        nodes += 1
+        top[5] = ln
+        p, q, rest_min, free, x, _, _, occ = top
+        images[x] = word[q : q + ln]
+        p += 1
+        q += ln
+        pending = rest_min + (occ - 1) * ln
+        free -= occ
+
+
+def run_search(search, symbols, word, min_len, budget):
+    """Every yield with the node count at it, then how the search ended and
+    its final node count."""
+    counter = [0]
+    trace = []
+    try:
+        for assignment in search(symbols, word, min_len, counter, budget):
+            trace.append((assignment, counter[0]))
+    except solver._BudgetHit:
+        return trace, "budget", counter[0]
+    return trace, "done", counter[0]
+
+
+def solver_core_inputs():
+    """Each canonical pattern of length <= 7 as its own word, and each one of
+    length <= 6 under its binary and ternary first-occurrence 1-uniform
+    images, with the pattern's length."""
+    for length in range(1, 8):
+        for pattern in enumerate_canonical_patterns(length):
+            yield length, pattern.symbols, pattern.symbols
+            if length <= 6:
+                for letters in ("ab", "abc"):
+                    image = "".join(letters[(v - 1) % len(letters)] for v in pattern.symbols)
+                    yield length, pattern.symbols, image
+
+
+class TestSolverCore:
+    def test_matches_the_one_candidate_at_a_time_search(self):
+        for length, symbols, word in solver_core_inputs():
+            for min_len in (0, 1):
+                full = run_search(reference_assignments, symbols, word, min_len, inf)
+                assert run_search(solver._iter_assignments, symbols, word, min_len, inf) == full
+                total = full[2]
+                low = 1 if length <= 5 else max(total - 1, 1)
+                for budget in range(low, total + 1):
+                    expected = run_search(reference_assignments, symbols, word, min_len, budget)
+                    got = run_search(solver._iter_assignments, symbols, word, min_len, budget)
+                    assert got == expected, (symbols, word, min_len, budget)
 
 
 # Images for the golden morphisms: variable v maps to images[(v - 1) % len].
