@@ -12,7 +12,7 @@ from typing import Iterable, Iterator
 
 from .conditions import _pair_clauses
 from .errors import DomainError
-from .explorer import enumerate_canonical_patterns, search_1uniform
+from .explorer import check_enumeration, enumerate_canonical_patterns, search_1uniform
 from .generators import (
     debruijn_patterns,
     debruijn_word,
@@ -100,7 +100,9 @@ def pair_theorem_checks(max_len: int) -> Iterator[Check]:
     """Off fixed points, every ordered pair passing the pair condition gives
     an unambiguous merging morphism, on every canonical pattern of uniform
     multiplicity >= 2 up to ``max_len``.  A failure names the first
-    violating pattern and pair."""
+    violating pattern and pair.  A ``max_len`` beyond the enumeration guard
+    is a ResourceError before the first check, not after the sweep."""
+    check_enumeration(max_len)
     patterns = checked_pairs = 0
     violation = None
     for length in range(2, max_len + 1):

@@ -14,11 +14,20 @@ import argparse
 import json
 import os
 import sys
-from typing import Iterable
+from collections import Counter
+from typing import IO, Iterable
 
 from .checks import pair_theorem_checks, pi_db_checks, shortest_checks, thue_checks
 from .errors import DomainError, InconsistencyError, ResourceError
-from .explorer import SCAN_TARGETS, conjecture_scan, search_1uniform, search_sigma_ij
+from .explorer import (
+    SCAN_TARGETS,
+    check_enumeration,
+    conjecture_scan,
+    enumerate_canonical_patterns,
+    least_uniform_alphabet,
+    search_1uniform,
+    search_sigma_ij,
+)
 from .generators import (
     debruijn_patterns,
     debruijn_word,
@@ -35,6 +44,7 @@ from .solver import (
     BudgetExhausted,
     FixedPoint,
     Witness,
+    fixed_point_verdict,
     is_ambiguous,
     is_fixed_point,
 )
@@ -68,6 +78,14 @@ def _span(text: str) -> range:
     if first > last:
         raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return range(first, last + 1)
+
+
+def _open_output(path: str) -> IO[str]:
+    # only the open is caught: a closed pipe on a later write is run()'s to handle
+    try:
+        return open(path, "w", encoding="ascii")
+    except OSError as exc:
+        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def _emit(args: argparse.Namespace, record: dict, human: Iterable[str]) -> None:
@@ -214,7 +232,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     records = findings = budget_hits = 0
     # the scan checks its arguments here, before the output file is truncated
     scan = conjecture_scan(args.max_len, args.target, budget=args.budget, workers=args.workers)
-    with open(args.out, "w", encoding="ascii") as sink:
+    with _open_output(args.out) as sink:
         for record in scan:
             sink.write(record.to_json() + "\n")
             records += 1
@@ -226,6 +244,35 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     if budget_hits:
         return EXIT_RESOURCE
     return EXIT_FAILS if findings else EXIT_HOLDS
+
+
+def _cmd_census(args: argparse.Namespace) -> int:
+    census: Counter[tuple[int, int]] = Counter()
+    fixed_points = 0
+    tight = []
+    # check the length here, before the output file is truncated
+    check_enumeration(args.length)
+    with _open_output(args.jsonl or os.devnull) as sink:
+        for pattern in enumerate_canonical_patterns(args.length, min_vars=args.min_vars):
+            # a budget-exhausted check counts as "not a fixed point"
+            if fixed_point_verdict(pattern, budget=args.budget):
+                fixed_points += 1
+                continue
+            n = len(pattern.variables)
+            k = least_uniform_alphabet(pattern, n, budget=args.budget)
+            if k is None:
+                raise InconsistencyError(f"renaming must be unambiguous off fixed points: {pattern}")
+            census[n, k] += 1
+            if k == n and n >= 4:
+                tight.append(pattern)
+            sink.write(json.dumps({"pattern": str(pattern), "vars": n, "least_k": k}) + "\n")
+    print(f"length {args.length}: {fixed_points} fixed points (no unambiguous 1-uniform morphism)")
+    print(f"{'vars':>4} {'least_k':>7} {'patterns':>8}")
+    for (n, k), count in sorted(census.items()):
+        print(f"{n:>4} {k:>7} {count:>8}")
+    for pattern in tight:
+        print(f"ATTENTION: needs the full alphabet despite >= 4 variables: {pattern}")
+    return EXIT_FAILS if tight else EXIT_HOLDS
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
@@ -324,6 +371,13 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--out", required=True, metavar="FILE.jsonl")
     scan.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
     scan.set_defaults(handler=_cmd_scan)
+
+    census = commands.add_parser("census", help="least unambiguous 1-uniform alphabet, per pattern")
+    census.add_argument("--length", type=int, required=True)
+    census.add_argument("--min-vars", type=_positive, default=1)
+    census.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
+    census.add_argument("--jsonl", metavar="FILE", help="also write one record per non-fixed-point pattern")
+    census.set_defaults(handler=_cmd_census)
 
     verify = commands.add_parser("verify", help="run a named bundle of exact checks")
     bundles = verify.add_subparsers(dest="bundle", required=True)

@@ -126,6 +126,30 @@ def search_1uniform(
     return None
 
 
+def least_uniform_alphabet(pattern: Pattern, max_k: int, *, budget: int = DEFAULT_BUDGET) -> int | None:
+    """The least alphabet size k <= ``max_k`` over which some 1-uniform
+    morphism is unambiguous with respect to the pattern, or None.  Sizes
+    ascend, so the first success is the least; a BudgetError propagates."""
+    for k in range(1, max_k + 1):
+        if search_1uniform(pattern, k, budget=budget) is not None:
+            return k
+    return None
+
+
+def check_enumeration(length: int, **bounds: int | None) -> None:
+    """Raise what :func:`enumerate_canonical_patterns` raises for these
+    arguments, at once rather than at the first pattern asked for."""
+    if length < 0:
+        raise DomainError(f"length must be >= 0, got {length}")
+    if length > MAX_ENUMERATION_LENGTH:
+        raise ResourceError(
+            f"pattern enumeration supports length <= {MAX_ENUMERATION_LENGTH}, got {length}"
+        )
+    for name, bound in bounds.items():
+        if bound is not None and bound < 1:
+            raise DomainError(f"{name} must be >= 1, got {bound}")
+
+
 def enumerate_canonical_patterns(
     length: int,
     *,
@@ -139,19 +163,13 @@ def enumerate_canonical_patterns(
     Canonical means variables are numbered 1, 2, 3, ... by first occurrence,
     so the stream contains exactly one representative per renaming class.
     """
-    if length < 0:
-        raise DomainError(f"length must be >= 0, got {length}")
-    if length > MAX_ENUMERATION_LENGTH:
-        raise ResourceError(
-            f"pattern enumeration supports length <= {MAX_ENUMERATION_LENGTH}, got {length}"
-        )
-    for bound, name in ((min_vars, "min_vars"), (max_vars, "max_vars")):
-        if bound is not None and bound < 1:
-            raise DomainError(f"{name} must be >= 1, got {bound}")
-    if uniform_multiplicity is not None and uniform_multiplicity < 1:
-        raise DomainError(f"uniform_multiplicity must be >= 1, got {uniform_multiplicity}")
-    if min_multiplicity is not None and min_multiplicity < 1:
-        raise DomainError(f"min_multiplicity must be >= 1, got {min_multiplicity}")
+    check_enumeration(
+        length,
+        min_vars=min_vars,
+        max_vars=max_vars,
+        uniform_multiplicity=uniform_multiplicity,
+        min_multiplicity=min_multiplicity,
+    )
     if length == 0:
         if not min_vars:
             yield Pattern(())
@@ -292,16 +310,11 @@ def _scan_pattern(pattern: Pattern, target: str, budget: int) -> ScanRecord:
         return ScanRecord(pattern, True, var_count, None, None, False, False)
 
     if target == "conjecture1":
-        # ascending alphabet sizes; the first success is the least size,
-        # since a smaller witness would already have shown up earlier
-        for k in range(1, var_count):
-            try:
-                sigma = search_1uniform(pattern, k, budget=budget)
-            except BudgetError:
-                return ScanRecord(pattern, False, var_count, None, None, True, False)
-            if sigma is not None:
-                return ScanRecord(pattern, False, var_count, None, k, False, False)
-        return ScanRecord(pattern, False, var_count, None, None, False, True)
+        try:
+            k = least_uniform_alphabet(pattern, var_count - 1, budget=budget)
+        except BudgetError:
+            return ScanRecord(pattern, False, var_count, None, None, True, False)
+        return ScanRecord(pattern, False, var_count, None, k, False, k is None)
 
     try:
         found = search_sigma_ij(pattern, budget=budget)
@@ -359,3 +372,4 @@ def _scan_records(
     job = partial(_scan_pattern, target=target, budget=budget)
     with Pool(workers) as pool:
         yield from pool.imap(job, patterns, chunksize=64)
+

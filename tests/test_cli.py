@@ -1,4 +1,3 @@
-import importlib.util
 import json
 import os
 import shlex
@@ -8,7 +7,7 @@ import sys
 import pytest
 
 import unambig
-from unambig import checks, cli
+from unambig import checks, cli, explorer
 from unambig.errors import InconsistencyError
 from unambig.explorer import SCAN_TARGETS, ScanRecord
 from unambig.morphisms import Morphism, Substitution
@@ -366,6 +365,15 @@ class TestVerify:
             "all verify unambiguous (first violation: pattern 1 1 2 2 3 3, pair (1, 3))\n"
         )
 
+    def test_pair_theorem_beyond_the_enumeration_guard_is_exit_3_up_front(self, capsys, monkeypatch):
+        # a sweep that started would enumerate every length up to the guard
+        monkeypatch.setattr(checks, "enumerate_canonical_patterns", None)
+        code, out, err = run_cli(capsys, "verify", "pair-theorem", "--max-len", "17")
+        assert code == 3
+        assert out == ""
+        assert "resource limit: pattern enumeration supports length <= 16, got 17" in err
+        assert "Traceback" not in err
+
     def test_resource_limit_inside_a_bundle_is_exit_3(self, capsys):
         # bundles are lazy, so the guard fires while the handler consumes them
         code, _, err = run_cli(capsys, "verify", "pi-db", "--k", "5")
@@ -498,38 +506,108 @@ class TestConsoleScript:
         json.loads(proc.stdout)
 
 
-CENSUS_SCRIPT = os.path.join(
-    os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-    "scripts",
-    "uniform_alphabet_census.py",
-)
+CENSUS_TABLES = [
+    pytest.param(
+        ["--length", "6"],
+        "length 6: 171 fixed points (no unambiguous 1-uniform morphism)",
+        [["1", "1", "1"], ["2", "2", "21"], ["3", "2", "6"], ["3", "3", "4"]],
+        id="length-6",
+    ),
+    pytest.param(
+        ["--length", "8", "--min-vars", "4"],
+        "length 8: 2978 fixed points (no unambiguous 1-uniform morphism)",
+        [["4", "2", "33"], ["4", "3", "35"]],
+        id="length-8-min-vars-4",
+    ),
+]
 
 
-class TestCensusScript:
-    def test_length_6_table(self):
-        proc = subprocess.run(
-            [sys.executable, CENSUS_SCRIPT, "--length", "6"],
-            capture_output=True,
-            text=True,
-            env=_checkout_env(),
+class TestCensus:
+    @pytest.mark.parametrize("argv, header, rows", CENSUS_TABLES)
+    def test_table(self, capsys, argv, header, rows):
+        code, out, err = run_cli(capsys, "census", *argv)
+        assert code == 0, err
+        lines = out.splitlines()
+        assert lines[0] == header
+        assert [line.split() for line in lines[1:]] == [["vars", "least_k", "patterns"], *rows]
+
+    def test_jsonl_agrees_with_the_table(self, capsys, tmp_path):
+        out_file = tmp_path / "census.jsonl"
+        code, out, _ = run_cli(capsys, "census", "--length", "6", "--jsonl", str(out_file))
+        assert code == 0
+        records = [json.loads(line) for line in out_file.read_text().splitlines()]
+        table = {(int(n), int(k)): int(count) for n, k, count in map(str.split, out.splitlines()[2:])}
+        tally: dict[tuple[int, int], int] = {}
+        for record in records:
+            assert record["vars"] == len(parse_pattern(record["pattern"]).variables)
+            key = (record["vars"], record["least_k"])
+            tally[key] = tally.get(key, 0) + 1
+        assert tally == table
+        assert len({record["pattern"] for record in records}) == len(records) == 32
+
+    def test_full_alphabet_from_4_variables_is_exit_1(self, capsys, monkeypatch):
+        # pretend only the full alphabet ever works
+        monkeypatch.setattr(
+            explorer,
+            "search_1uniform",
+            lambda pattern, k, **kwargs: k == len(pattern.variables) or None,
         )
-        assert proc.returncode == 0, proc.stderr
-        lines = proc.stdout.splitlines()
-        assert lines[0] == "length 6: 171 fixed points (no unambiguous 1-uniform morphism)"
-        assert [line.split() for line in lines[1:]] == [
-            ["vars", "least_k", "patterns"],
-            ["1", "1", "1"],
-            ["2", "2", "21"],
-            ["3", "2", "6"],
-            ["3", "3", "4"],
-        ]
+        code, out, err = run_cli(capsys, "census", "--length", "8", "--min-vars", "4")
+        assert code == 1, err
+        lines = out.splitlines()
+        assert [line.split() for line in lines[1:3]] == [["vars", "least_k", "patterns"], ["4", "4", "68"]]
+        flagged = lines[3:]
+        assert len(flagged) == 68
+        assert all(line.startswith("ATTENTION: needs the full alphabet despite >= 4 variables: ") for line in flagged)
 
     def test_inconsistency_is_exit_4(self, capsys, monkeypatch):
-        spec = importlib.util.spec_from_file_location("uniform_alphabet_census", CENSUS_SCRIPT)
-        census = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(census)
-        monkeypatch.setattr(census, "search_1uniform", lambda *args, **kwargs: None)
-        code = census.main(["--length", "3"])
-        err = capsys.readouterr().err
+        monkeypatch.setattr(explorer, "search_1uniform", lambda *args, **kwargs: None)
+        code, _, err = run_cli(capsys, "census", "--length", "3")
         assert code == 4
         assert "internal inconsistency: renaming must be unambiguous" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "argv", [["--budget", "0"], ["--min-vars", "0"], ["--length", "-1"]], ids=["budget", "min-vars", "length"]
+    )
+    def test_bad_argument_is_usage_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, "census", "--length", "6", *argv)
+        assert code == 2
+        assert out == ""
+        assert "Traceback" not in err
+
+    def test_length_beyond_the_guard_leaves_an_existing_jsonl_alone(self, capsys, tmp_path):
+        out_file = tmp_path / "x.jsonl"
+        out_file.write_bytes(b"precious\n")
+        code, out, err = run_cli(capsys, "census", "--length", "17", "--jsonl", str(out_file))
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+        assert "Traceback" not in err
+        assert out_file.read_bytes() == b"precious\n"
+
+    def test_length_0_prints_the_empty_table(self, capsys):
+        code, out, _ = run_cli(capsys, "census", "--length", "0")
+        assert code == 0
+        assert out == (
+            "length 0: 0 fixed points (no unambiguous 1-uniform morphism)\n"
+            "vars least_k patterns\n"
+        )
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["scan", "--target", "conjecture1", "--max-len", "5", "--out"],
+        ["census", "--length", "5", "--jsonl"],
+    ],
+    ids=["scan", "census"],
+)
+@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+def test_unwritable_output_is_usage_error(capsys, tmp_path, argv, where):
+    path = tmp_path / "missing" / "x.jsonl" if where == "missing-directory" else tmp_path
+    code, out, err = run_cli(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: cannot write {path}: ")
+    assert "Traceback" not in err

@@ -12,8 +12,10 @@ from unambig.explorer import (
     SCAN_TARGETS,
     ScanRecord,
     canonical_colorings,
+    check_enumeration,
     conjecture_scan,
     enumerate_canonical_patterns,
+    least_uniform_alphabet,
     search_1uniform,
     search_sigma_ij,
 )
@@ -258,6 +260,36 @@ class TestEnumerateCanonicalPatterns:
     def test_guard(self):
         with pytest.raises(ResourceError):
             list(enumerate_canonical_patterns(17))
+
+
+class TestLeastUniformAlphabet:
+    def test_agrees_with_the_conjecture1_scan(self):
+        # the census goes up to the full alphabet, conjecture1 stops one
+        # short; below that bound both must name the same least size
+        records = [r for r in conjecture_scan(8, "conjecture1") if len(r.pattern) == 8]
+        assert len(records) == sum(1 for _ in enumerate_canonical_patterns(8, min_vars=4))
+        for record in records:
+            k = least_uniform_alphabet(record.pattern, record.var_count)
+            assert (k is None) == record.is_fixed_point
+            if k is not None:
+                assert k == record.best_uniform_k < record.var_count
+                assert least_uniform_alphabet(record.pattern, k - 1) is None
+
+
+class TestCheckEnumeration:
+    @pytest.mark.parametrize(
+        "length, bounds, error",
+        [(17, {}, ResourceError), (-1, {}, DomainError), (6, {"min_vars": 0}, DomainError)],
+    )
+    def test_raises_what_the_enumeration_raises(self, length, bounds, error):
+        with pytest.raises(error) as eager:
+            check_enumeration(length, **bounds)
+        with pytest.raises(error) as lazy:
+            next(enumerate_canonical_patterns(length, **bounds))
+        assert str(eager.value) == str(lazy.value)
+
+    def test_accepts_the_guard_length(self):
+        check_enumeration(16, min_vars=1)
 
 
 class TestScanRecord:
