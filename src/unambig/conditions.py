@@ -15,7 +15,7 @@ from itertools import combinations
 
 from .errors import BudgetError, DomainError
 from .morphisms import erase_variable, merge_morphism
-from .solver import DEFAULT_BUDGET, fixed_point_verdict
+from .solver import DEFAULT_BUDGET, _covers_search_tree, _validate_budget, fixed_point_verdict
 from .words import (
     Pattern,
     factor_multiplicity,
@@ -138,10 +138,27 @@ class BillaudReport:
 
 
 def billaud_instance(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> BillaudReport:
+    """Decide the pattern and each of its single-variable deletions.
+
+    A deletion is answered from the pattern's own multiplicities when that
+    is exact: deleting v leaves every other multiplicity as it is and at
+    least two variables, so the deletion has a variable occurring once, and
+    is a fixed point, iff some u != v occurs once in the pattern.  That
+    answer is taken only when the budget covers the deletion's whole search
+    tree, where the search could not run out either; it leaves no memo
+    entry.  Every other deletion, and the pattern itself, goes through
+    :func:`fixed_point_verdict`.
+    """
     if len(pattern.variables) < 3:
         raise DomainError("the conjecture instance needs at least 3 distinct variables")
+    _validate_budget(budget)
+    counts = pattern.multiplicities
+    singletons = sum(c == 1 for c in counts.values())
     delta_status: dict[int, bool] = {}
     for var in sorted(pattern.variables):
+        if singletons > (counts[var] == 1) and _covers_search_tree(len(pattern) - counts[var], budget):
+            delta_status[var] = True
+            continue
         verdict = fixed_point_verdict(erase_variable(pattern, var), budget=budget)
         if verdict is None:
             raise BudgetError(f"fixed-point check after deleting {var} exceeded {budget} nodes")

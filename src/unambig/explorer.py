@@ -115,8 +115,17 @@ def search_1uniform(
         raise DomainError(f"alphabet size must be between 1 and {len(ALPHABET)}, got {alphabet_size}")
     if fixed_point_verdict(pattern, budget=budget):
         return None
+    return _first_unambiguous(pattern, canonical_colorings(len(pattern.variables), alphabet_size), budget)
+
+
+def _first_unambiguous(
+    pattern: Pattern, colorings: Iterator[tuple[int, ...]], budget: int
+) -> Morphism | None:
+    """The 1-uniform morphism of the first coloring, in the given order, that
+    is unambiguous with respect to the pattern, or None.  Colorings index
+    the variables in first-occurrence order."""
     ordered = first_occurrence_order(pattern)
-    for coloring in canonical_colorings(len(ordered), alphabet_size):
+    for coloring in colorings:
         sigma = Morphism.of({var: ALPHABET[c] for var, c in zip(ordered, coloring)})
         verdict = is_ambiguous(sigma, pattern, budget=budget)
         if isinstance(verdict, BudgetExhausted):
@@ -128,11 +137,23 @@ def search_1uniform(
 
 def least_uniform_alphabet(pattern: Pattern, max_k: int, *, budget: int = DEFAULT_BUDGET) -> int | None:
     """The least alphabet size k <= ``max_k`` over which some 1-uniform
-    morphism is unambiguous with respect to the pattern, or None.  Sizes
-    ascend, so the first success is the least; a BudgetError propagates."""
-    for k in range(1, max_k + 1):
-        if search_1uniform(pattern, k, budget=budget) is not None:
-            return k
+    morphism is unambiguous with respect to the pattern, or None.
+
+    The answer is that of the least k with ``search_1uniform(pattern, k)``
+    not None, BudgetError included, but each coloring is tried once: the
+    fixed-point check runs once, and size k runs the solver only on the
+    canonical colorings that use exactly k letters, in the same order.
+    Those with fewer letters were all found ambiguous at a smaller size.
+    """
+    top = min(max_k, len(ALPHABET))
+    if top >= 1 and not fixed_point_verdict(pattern, budget=budget):
+        items = len(pattern.variables)
+        for k in range(1, top + 1):
+            exact = (coloring for coloring in canonical_colorings(items, k) if k - 1 in coloring)
+            if _first_unambiguous(pattern, exact, budget) is not None:
+                return k
+    if max_k > len(ALPHABET):
+        raise DomainError(f"alphabet size must be between 1 and {len(ALPHABET)}, got {len(ALPHABET) + 1}")
     return None
 
 

@@ -277,6 +277,14 @@ def enumerate_preimages(
 # table covers would need a budget above 10**18.
 _SEARCH_TREE_BOUND = tuple(comb(2 * n + 1, n) - 1 for n in range(32))
 
+
+def _covers_search_tree(n: int, budget: int) -> bool:
+    """Whether the budget covers the whole fixed-point search tree of a
+    pattern of length n.  Within such a budget the search cannot run out, so
+    an exact shortcut gives what the search would."""
+    return n < len(_SEARCH_TREE_BOUND) and _SEARCH_TREE_BOUND[n] <= budget
+
+
 # Fixed-point verdicts are memoized by canonical form: scans ask about the
 # same short patterns (deleted-variable images in particular) over and over.
 _FP_CACHE: dict[tuple[int, ...], tuple[tuple | None, int]] = {}
@@ -361,9 +369,7 @@ def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bo
     if entry is not None and entry[1] <= budget:
         return entry[0] is not None
     n = len(key)
-    # Within a budget that covers the whole search tree the search cannot
-    # run out, so an exact shortcut gives what the search would.
-    if n < len(_SEARCH_TREE_BOUND) and _SEARCH_TREE_BOUND[n] <= budget:
+    if _covers_search_tree(n, budget):
         # phi(x) = pattern for the variable x occurring once, phi(y) empty
         # for every other y
         if n >= 2 and 1 in pattern.multiplicities.values():

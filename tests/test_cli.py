@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import unambig
-from unambig import checks, cli, explorer
+from unambig import checks, cli
 from unambig.errors import InconsistencyError
 from unambig.explorer import SCAN_TARGETS, ScanRecord
 from unambig.morphisms import Morphism, Substitution
@@ -547,11 +547,7 @@ class TestCensus:
 
     def test_full_alphabet_from_4_variables_is_exit_1(self, capsys, monkeypatch):
         # pretend only the full alphabet ever works
-        monkeypatch.setattr(
-            explorer,
-            "search_1uniform",
-            lambda pattern, k, **kwargs: k == len(pattern.variables) or None,
-        )
+        monkeypatch.setattr(cli, "least_uniform_alphabet", lambda pattern, max_k, **kw: max_k)
         code, out, err = run_cli(capsys, "census", "--length", "8", "--min-vars", "4")
         assert code == 1, err
         lines = out.splitlines()
@@ -561,7 +557,7 @@ class TestCensus:
         assert all(line.startswith("ATTENTION: needs the full alphabet despite >= 4 variables: ") for line in flagged)
 
     def test_inconsistency_is_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(explorer, "search_1uniform", lambda *args, **kwargs: None)
+        monkeypatch.setattr(cli, "least_uniform_alphabet", lambda *a, **kw: None)
         code, _, err = run_cli(capsys, "census", "--length", "3")
         assert code == 4
         assert "internal inconsistency: renaming must be unambiguous" in err

@@ -1,7 +1,9 @@
 import pytest
 from hypothesis import given
 
+from unambig import solver
 from unambig.conditions import (
+    BillaudReport,
     billaud_instance,
     candidate_pairs,
     fixed_point_by_neighbourhoods,
@@ -10,8 +12,17 @@ from unambig.conditions import (
     pair_condition,
 )
 from unambig.errors import BudgetError, DomainError
-from unambig.morphisms import merge_morphism
-from unambig.solver import FixedPoint, NoWitness, Witness, is_ambiguous, is_fixed_point
+from unambig.explorer import enumerate_canonical_patterns
+from unambig.morphisms import erase_variable, merge_morphism
+from unambig.solver import (
+    DEFAULT_BUDGET,
+    FixedPoint,
+    NoWitness,
+    Witness,
+    fixed_point_verdict,
+    is_ambiguous,
+    is_fixed_point,
+)
 from unambig.words import BOUNDARY, Pattern, neighbourhoods, parse_pattern
 
 from conftest import naive_canonical_patterns, pattern_strategy
@@ -204,6 +215,31 @@ class TestUnique2Factors:
             has_unique_2_factors("a")
 
 
+def reference_billaud_instance(pattern, *, budget=DEFAULT_BUDGET):
+    """billaud_instance with every deletion built and decided by
+    fixed_point_verdict, without the multiplicity shortcut."""
+    if len(pattern.variables) < 3:
+        raise DomainError("the conjecture instance needs at least 3 distinct variables")
+    delta_status = {}
+    for var in sorted(pattern.variables):
+        verdict = fixed_point_verdict(erase_variable(pattern, var), budget=budget)
+        if verdict is None:
+            raise BudgetError(f"fixed-point check after deleting {var} exceeded {budget} nodes")
+        delta_status[var] = verdict
+    alpha_fp = fixed_point_verdict(pattern, budget=budget)
+    if alpha_fp is None:
+        raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
+    hypothesis = all(delta_status.values())
+    return BillaudReport(delta_status, hypothesis, alpha_fp, (not hypothesis) or alpha_fp)
+
+
+def billaud_outcome(instance, pattern, budget):
+    try:
+        return instance(pattern, budget=budget)
+    except BudgetError as error:
+        return str(error)
+
+
 class TestBillaudInstance:
     def test_running_example_report(self):
         report = billaud_instance(A0)
@@ -233,3 +269,34 @@ class TestBillaudInstance:
             if len(pattern.variables) < 3:
                 continue
             assert billaud_instance(pattern).conjecture_instance_ok, pattern
+
+    @pytest.mark.parametrize(
+        "budgets",
+        [
+            pytest.param([bound - 1, bound, bound + 1], id=f"tree-bound-{m}")
+            for m, bound in enumerate(solver._SEARCH_TREE_BOUND)
+            if 2 <= m <= 8
+        ]
+        + [pytest.param([DEFAULT_BUDGET], id="default")],
+    )
+    def test_matches_deciding_every_deletion(self, monkeypatch, budgets):
+        # the shortcut must give the same report or BudgetError as the search
+        # on each deletion, and leave the memo as the search path leaves it
+        patterns = [p for length in range(3, 9) for p in enumerate_canonical_patterns(length, min_vars=3)]
+        for budget in budgets:
+            sweeps = []
+            for instance in (reference_billaud_instance, billaud_instance):
+                monkeypatch.setattr(solver, "_FP_CACHE", {})
+                outcomes = [billaud_outcome(instance, p, budget) for p in patterns]
+                sweeps.append((outcomes, solver._FP_CACHE))
+            assert sweeps[1][0] == sweeps[0][0], budget
+            assert sweeps[1][1] == sweeps[0][1], budget
+
+    @pytest.mark.parametrize("budget", [0, -3, 1e9, None])
+    def test_bad_budget_is_rejected_before_any_shortcut(self, budget):
+        pattern = parse_pattern("1 2 3 1 2")
+        with pytest.raises(DomainError) as expected:
+            reference_billaud_instance(pattern, budget=budget)
+        with pytest.raises(DomainError) as raised:
+            billaud_instance(pattern, budget=budget)
+        assert str(raised.value) == str(expected.value) == f"budget must be a positive node count, got {budget!r}"

@@ -262,7 +262,46 @@ class TestEnumerateCanonicalPatterns:
             list(enumerate_canonical_patterns(17))
 
 
+def reference_least_uniform_alphabet(pattern, max_k, *, budget=DEFAULT_BUDGET):
+    """The least k with search_1uniform(pattern, k) not None, trying every
+    size's colorings afresh."""
+    for k in range(1, max_k + 1):
+        if search_1uniform(pattern, k, budget=budget) is not None:
+            return k
+    return None
+
+
+def least_k_outcome(least, pattern, max_k, budget=DEFAULT_BUDGET):
+    try:
+        return least(pattern, max_k, budget=budget)
+    except (BudgetError, DomainError) as error:
+        return type(error), str(error)
+
+
 class TestLeastUniformAlphabet:
+    @pytest.mark.parametrize("length", range(1, 9))
+    def test_matches_trying_every_size_afresh(self, length):
+        # every coloring with fewer letters than k was already found
+        # ambiguous at a smaller size, so skipping it changes no answer
+        for pattern in enumerate_canonical_patterns(length):
+            n = len(pattern.variables)
+            assert least_uniform_alphabet(pattern, n) == reference_least_uniform_alphabet(pattern, n), pattern
+
+    @pytest.mark.parametrize("budget", range(1, 41))
+    def test_same_budget_error_at_small_budgets(self, budget):
+        for length in range(1, 9):
+            for pattern in enumerate_canonical_patterns(length):
+                n = len(pattern.variables)
+                expected = least_k_outcome(reference_least_uniform_alphabet, pattern, n, budget)
+                assert least_k_outcome(least_uniform_alphabet, pattern, n, budget) == expected, pattern
+
+    @pytest.mark.parametrize("text", ["1 2 3 1 3 2", "1 2 1 2"], ids=["k-3", "fixed-point"])
+    @pytest.mark.parametrize("max_k", [0, len(ALPHABET) + 1])
+    def test_sizes_outside_the_alphabet(self, text, max_k):
+        pattern = parse_pattern(text)
+        expected = least_k_outcome(reference_least_uniform_alphabet, pattern, max_k)
+        assert least_k_outcome(least_uniform_alphabet, pattern, max_k) == expected
+
     def test_agrees_with_the_conjecture1_scan(self):
         # the census goes up to the full alphabet, conjecture1 stops one
         # short; below that bound both must name the same least size
