@@ -20,7 +20,7 @@ from .conditions import BillaudReport, _pair_clauses, billaud_instance, image_is
 from .errors import BudgetError, DomainError, InconsistencyError, ResourceError
 from .morphisms import Morphism, merge_morphism
 from .solver import DEFAULT_BUDGET, BudgetExhausted, NoWitness, fixed_point_verdict, is_ambiguous
-from .words import ALPHABET, Pattern, first_occurrence_order, parse_pattern
+from .words import ALPHABET, Pattern, _canonical_sequences, first_occurrence_order, parse_pattern
 
 MAX_ENUMERATION_LENGTH = 16
 MAX_SCAN_LENGTH = 14
@@ -75,20 +75,10 @@ def search_sigma_ij(
 def canonical_colorings(items: int, colors: int) -> Iterator[tuple[int, ...]]:
     """Assignments of ``items`` slots to at most ``colors`` colors, one per
     symmetry class: each new color first appears in increasing order."""
-    if items == 0:
-        yield ()
-        return
-
-    def rec(prefix: list[int], used: int) -> Iterator[tuple[int, ...]]:
-        if len(prefix) == items:
-            yield tuple(prefix)
-            return
-        for c in range(min(used + 1, colors)):
-            prefix.append(c)
-            yield from rec(prefix, max(used, c + 1))
-            prefix.pop()
-
-    yield from rec([], 0)
+    if items < 0 or colors < 0:
+        raise DomainError(f"items and colors must be >= 0, got items={items}, colors={colors}")
+    for colored in _canonical_sequences(items, max_vars=colors):
+        yield tuple(c - 1 for c in colored)
 
 
 def search_1uniform(
@@ -115,21 +105,24 @@ def search_1uniform(
         raise DomainError(f"alphabet size must be between 1 and {len(ALPHABET)}, got {alphabet_size}")
     if fixed_point_verdict(pattern, budget=budget):
         return None
-    return _first_unambiguous(pattern, canonical_colorings(len(pattern.variables), alphabet_size), budget)
+    colorings = _canonical_sequences(len(pattern.variables), max_vars=alphabet_size)
+    return _first_unambiguous(pattern, colorings, budget)
 
 
 def _first_unambiguous(
     pattern: Pattern, colorings: Iterator[tuple[int, ...]], budget: int
 ) -> Morphism | None:
     """The 1-uniform morphism of the first coloring, in the given order, that
-    is unambiguous with respect to the pattern, or None.  Colorings index
-    the variables in first-occurrence order."""
+    is unambiguous with respect to the pattern, or None.  Colorings are
+    canonical sequences: the i-th symbol is the letter number, from 1, of the
+    i-th variable in first-occurrence order."""
     ordered = first_occurrence_order(pattern)
     for coloring in colorings:
-        sigma = Morphism.of({var: ALPHABET[c] for var, c in zip(ordered, coloring)})
+        sigma = Morphism.of({var: ALPHABET[c - 1] for var, c in zip(ordered, coloring)})
         verdict = is_ambiguous(sigma, pattern, budget=budget)
         if isinstance(verdict, BudgetExhausted):
-            raise BudgetError(f"solver run for coloring {coloring} exceeded {budget} nodes")
+            shown = tuple(c - 1 for c in coloring)
+            raise BudgetError(f"solver run for coloring {shown} exceeded {budget} nodes")
         if isinstance(verdict, NoWitness):
             return sigma
     return None
@@ -142,14 +135,15 @@ def least_uniform_alphabet(pattern: Pattern, max_k: int, *, budget: int = DEFAUL
     The answer is that of the least k with ``search_1uniform(pattern, k)``
     not None, BudgetError included, but each coloring is tried once: the
     fixed-point check runs once, and size k runs the solver only on the
-    canonical colorings that use exactly k letters, in the same order.
-    Those with fewer letters were all found ambiguous at a smaller size.
+    canonical colorings that use exactly k letters, in the same order; they
+    are generated directly.  Those with fewer letters were all found
+    ambiguous at a smaller size.
     """
     top = min(max_k, len(ALPHABET))
     if top >= 1 and not fixed_point_verdict(pattern, budget=budget):
         items = len(pattern.variables)
         for k in range(1, top + 1):
-            exact = (coloring for coloring in canonical_colorings(items, k) if k - 1 in coloring)
+            exact = _canonical_sequences(items, min_vars=k, max_vars=k)
             if _first_unambiguous(pattern, exact, budget) is not None:
                 return k
     if max_k > len(ALPHABET):
@@ -183,6 +177,9 @@ def enumerate_canonical_patterns(
 
     Canonical means variables are numbered 1, 2, 3, ... by first occurrence,
     so the stream contains exactly one representative per renaming class.
+    Every bound holds: a pattern has between ``min_vars`` and ``max_vars``
+    variables, each occurring at least ``min_multiplicity`` times and, when
+    ``uniform_multiplicity`` is given, exactly that often.
     """
     check_enumeration(
         length,
@@ -191,53 +188,9 @@ def enumerate_canonical_patterns(
         uniform_multiplicity=uniform_multiplicity,
         min_multiplicity=min_multiplicity,
     )
-    if length == 0:
-        if not min_vars:
-            yield Pattern(())
-        return
-    floor = uniform_multiplicity or min_multiplicity or 1
-    cap = uniform_multiplicity
-    counts: list[int] = []
-    prefix: list[int] = []
-
-    def rec(pos: int) -> Iterator[Pattern]:
-        if pos == length:
-            if min_vars is not None and len(counts) < min_vars:
-                return
-            if cap is not None and any(c != cap for c in counts):
-                return
-            if cap is None and min_multiplicity is not None:
-                if any(c < min_multiplicity for c in counts):
-                    return
-            yield Pattern(tuple(prefix))
-            return
-        remaining = length - pos
-        # every open variable still needs to reach the multiplicity floor
-        need = sum(floor - c for c in counts if c < floor)
-        if need > remaining:
-            return
-        limit = len(counts) + 1
-        if max_vars is not None:
-            limit = min(limit, max_vars)
-        for var in range(1, len(counts) + 2):
-            if var > limit:
-                break
-            if var <= len(counts):
-                if cap is not None and counts[var - 1] >= cap:
-                    continue
-                counts[var - 1] += 1
-                prefix.append(var)
-                yield from rec(pos + 1)
-                prefix.pop()
-                counts[var - 1] -= 1
-            else:
-                counts.append(1)
-                prefix.append(var)
-                yield from rec(pos + 1)
-                prefix.pop()
-                counts.pop()
-
-    yield from rec(0)
+    least = max(uniform_multiplicity or 1, min_multiplicity or 1)
+    for symbols in _canonical_sequences(length, min_vars or 0, max_vars, least, uniform_multiplicity):
+        yield Pattern(symbols)
 
 
 @dataclass(frozen=True)

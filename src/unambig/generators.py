@@ -17,7 +17,7 @@ from typing import Iterator
 from .errors import BudgetError, DomainError, ResourceError
 from .morphisms import Morphism
 from .solver import DEFAULT_BUDGET, fixed_point_verdict
-from .words import ALPHABET, Pattern, canonical_form, is_square_free
+from .words import ALPHABET, Pattern, _canonical_sequences, canonical_symbols, is_square_free
 
 _THUE_RULES = {"a": "abc", "b": "ac", "c": "b"}
 
@@ -157,32 +157,6 @@ def enumerate_debruijn(k: int, n: int) -> Iterator[str]:
         yield from walk(start, set(), list(start))
 
 
-def _partitions_min2(positions: list[int], blocks: int) -> Iterator[list[list[int]]]:
-    """Set partitions of the positions into exactly ``blocks`` blocks of size
-    >= 2, blocks ordered by least element."""
-    n = len(positions)
-
-    def rec(idx: int, parts: list[list[int]]) -> Iterator[list[list[int]]]:
-        if idx == n:
-            if len(parts) == blocks and all(len(p) >= 2 for p in parts):
-                yield [list(p) for p in parts]
-            return
-        remaining = n - idx
-        deficit = sum(1 for p in parts if len(p) < 2) + 2 * (blocks - len(parts))
-        if deficit > remaining:
-            return
-        for p in parts:
-            p.append(positions[idx])
-            yield from rec(idx + 1, parts)
-            p.pop()
-        if len(parts) < blocks:
-            parts.append([positions[idx]])
-            yield from rec(idx + 1, parts)
-            parts.pop()
-
-    yield from rec(0, [])
-
-
 @dataclass(frozen=True)
 class DeBruijnPattern:
     """A canonical pattern carved out of a de Bruijn sequence.
@@ -207,28 +181,28 @@ def debruijn_patterns(k: int) -> Iterator[DeBruijnPattern]:
     if not 3 <= k <= 4:
         raise ResourceError(f"supported alphabet sizes are 3 and 4, got {k}")
     for word in enumerate_debruijn(k, 2):
-        letters = sorted(set(word))
-        positions = {ch: [p for p, c in enumerate(word) if c == ch] for ch in letters}
-        choices = [list(_partitions_min2(positions[ch], len(positions[ch]) // 2)) for ch in letters]
+        positions = [[p for p, c in enumerate(word) if c == ch] for ch in sorted(set(word))]
+        # a letter's split is a canonical sequence over its occurrences,
+        # naming the variable of each: len // 2 variables, each twice or more
+        splits = [
+            list(_canonical_sequences(len(ps), min_vars=len(ps) // 2, max_vars=len(ps) // 2, min_occ=2))
+            for ps in positions
+        ]
         seen: set[tuple[int, ...]] = set()
-        for combo in product(*choices):
-            class_of: dict[int, int] = {}
-            next_class = 1
-            for parts in combo:
-                for block in parts:
-                    for pos in block:
-                        class_of[pos] = next_class
-                    next_class += 1
-            raw = Pattern(tuple(class_of[p] for p in range(len(word))))
-            pattern = canonical_form(raw)
-            if pattern.symbols in seen:
+        for combo in product(*splits):
+            labels = [0] * len(word)
+            offset = 0
+            for ps, split in zip(positions, combo):
+                for pos, var in zip(ps, split):
+                    labels[pos] = offset + var
+                offset += len(ps) // 2
+            symbols = canonical_symbols(labels)
+            if symbols in seen:
                 continue
-            seen.add(pattern.symbols)
-            first_position = {}
-            for pos, var in enumerate(pattern.symbols):
-                first_position.setdefault(var, pos)
-            natural = Morphism.of({var: word[pos] for var, pos in first_position.items()})
-            yield DeBruijnPattern(pattern=pattern, natural_morphism=natural, source_word=word)
+            seen.add(symbols)
+            # every occurrence of a variable carries the same letter
+            natural = Morphism.of(dict(zip(symbols, word)))
+            yield DeBruijnPattern(pattern=Pattern(symbols), natural_morphism=natural, source_word=word)
 
 
 def splice(alpha1: Pattern, alpha2: Pattern, beta: Pattern, *, budget: int = DEFAULT_BUDGET) -> Pattern:

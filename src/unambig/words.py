@@ -104,6 +104,73 @@ def canonical_form(pattern: Pattern) -> Pattern:
     return Pattern(canonical_symbols(pattern.symbols))
 
 
+def _canonical_sequences(
+    length: int, min_vars: int = 0, max_vars: int | None = None, min_occ: int = 1, max_occ: int | None = None
+) -> Iterator[tuple[int, ...]]:
+    """Every canonical symbol sequence of the given length, lexicographically.
+
+    These are the restricted growth strings: symbols 1, 2, 3, ... numbered by
+    first occurrence, here with between ``min_vars`` and ``max_vars``
+    distinct symbols, each occurring between ``min_occ`` and ``max_occ``
+    times (None: no upper bound).  The same sequences are the patterns up to
+    renaming, the colorings up to permuting the colors and the set
+    partitions with blocks ordered by least element.
+
+    Upper bounds are kept at each step.  The prefix grows only while the
+    occurrences it still owes fit into the positions left: min_occ - c for
+    each symbol with c < min_occ occurrences, and min_occ for each symbol that
+    min_vars still needs.  So every sequence that reaches the full length
+    meets the lower bounds too, and no sequence is filtered afterwards.
+    """
+    top = length if max_vars is None else max_vars
+    cap = length if max_occ is None else max_occ
+    owed = min_occ * min_vars
+    if owed > length or (length and min_occ > cap):  # the empty sequence has no symbol to bound
+        return
+    seq: list[int] = []
+    counts = [0] * (length + 1)
+    used = 0
+    start = 1
+    while True:
+        pos = len(seq)
+        if pos == length:
+            yield tuple(seq)
+        else:
+            room = length - pos - 1  # positions left after this one
+            # owed <= room + 1 holds here, so a symbol below min_occ always fits
+            for v in range(start, used + 1):
+                c = counts[v]
+                if c < min_occ:
+                    owed -= 1
+                    break
+                if c < cap and owed <= room:
+                    break
+            else:
+                v = used + 1  # a new symbol, if it fits
+                grow = -1 if used < min_vars else min_occ - 1
+                if start <= v <= top and owed + grow <= room:
+                    used = v
+                    owed += grow
+                else:
+                    v = 0
+            if v:
+                seq.append(v)
+                counts[v] += 1
+                start = 1
+                continue
+        if not seq:
+            return
+        v = seq.pop()
+        counts[v] -= 1
+        c = counts[v]
+        if not c:
+            used -= 1
+            owed -= -1 if used < min_vars else min_occ - 1
+        elif c < min_occ:
+            owed += 1
+        start = v + 1
+
+
 @dataclass(frozen=True)
 class Neighbourhoods:
     """Per-variable sets of immediately adjacent symbols.

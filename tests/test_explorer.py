@@ -1,3 +1,4 @@
+import functools
 import hashlib
 import itertools
 import json
@@ -11,6 +12,7 @@ from unambig.errors import BudgetError, DomainError, ResourceError
 from unambig.explorer import (
     SCAN_TARGETS,
     ScanRecord,
+    _scan_pattern,
     canonical_colorings,
     check_enumeration,
     conjecture_scan,
@@ -20,7 +22,7 @@ from unambig.explorer import (
     search_sigma_ij,
 )
 from unambig.generators import squares_pattern
-from unambig.morphisms import Morphism
+from unambig.morphisms import Morphism, merge_morphism
 from unambig.solver import (
     DEFAULT_BUDGET,
     BudgetExhausted,
@@ -33,10 +35,13 @@ from unambig.solver import (
 )
 from unambig.words import ALPHABET, Pattern, canonical_form, first_occurrence_order, parse_pattern
 
-from conftest import naive_canonical_patterns
+from conftest import naive_canonical_patterns, oracle_fixed_point_morphisms, oracle_preimages
 
 A0 = parse_pattern("1 2 3 1 3 2")
 A1 = parse_pattern("1 2 3 4 1 4 3 2")
+
+# the brute-force canonical patterns of each length, built once per run
+naive_patterns = functools.cache(naive_canonical_patterns)
 
 
 def sweep_1uniform(pattern, alphabet_size, budget=DEFAULT_BUDGET):
@@ -70,6 +75,23 @@ class TestCanonicalColorings:
                 if color not in seen:
                     seen.append(color)
             assert seen == sorted(seen)
+
+    @pytest.mark.parametrize("items", range(0, 9))
+    def test_agrees_with_brute_force(self, items):
+        for colors in range(0, 10):
+            expected = [
+                tuple(s - 1 for s in p.symbols) for p in naive_patterns(items) if len(p.variables) <= colors
+            ]
+            assert list(canonical_colorings(items, colors)) == expected, colors
+
+    def test_no_colors(self):
+        assert list(canonical_colorings(0, 0)) == [()]
+        assert list(canonical_colorings(3, 0)) == []
+
+    @pytest.mark.parametrize("items, colors", [(-1, 2), (2, -1), (-3, -3)])
+    def test_negative_arguments_are_domain_errors(self, items, colors):
+        with pytest.raises(DomainError):
+            list(canonical_colorings(items, colors))
 
 
 class TestSearchSigmaIj:
@@ -261,6 +283,25 @@ class TestEnumerateCanonicalPatterns:
         with pytest.raises(ResourceError):
             list(enumerate_canonical_patterns(17))
 
+    @pytest.mark.parametrize("length", range(0, 9))
+    def test_every_bound_combination_agrees_with_brute_force(self, length):
+        counts = [1, 2, 3, 4, 5]
+        for min_vars, max_vars, uniform, least in itertools.product(
+            [None, *counts], [None, *counts], [None, 1, 2, 3], [None, 1, 2, 3]
+        ):
+            expected = [
+                p
+                for p in naive_patterns(length)
+                if (min_vars is None or len(p.variables) >= min_vars)
+                and (max_vars is None or len(p.variables) <= max_vars)
+                and all(uniform is None or c == uniform for c in p.multiplicities.values())
+                and all(least is None or c >= least for c in p.multiplicities.values())
+            ]
+            got = enumerate_canonical_patterns(
+                length, min_vars=min_vars, max_vars=max_vars, uniform_multiplicity=uniform, min_multiplicity=least
+            )
+            assert list(got) == expected, (min_vars, max_vars, uniform, least)
+
 
 def reference_least_uniform_alphabet(pattern, max_k, *, budget=DEFAULT_BUDGET):
     """The least k with search_1uniform(pattern, k) not None, trying every
@@ -450,3 +491,43 @@ class TestConjectureScan:
     def test_records_serialize_losslessly(self, max_len):
         for record in conjecture_scan(max_len, "conjecture2"):
             assert ScanRecord.from_json(record.to_json()) == record
+
+
+# A sweep of every length-12 pattern with at least 4 variables, each
+# occurring at least twice, flags these two and no others, under both the
+# conjecture1 and the conjecture2 predicate.  Both are palindromes over 4
+# variables.
+LENGTH_12_FINDINGS = ["1 2 1 3 1 4 4 1 3 1 2 1", "1 2 3 2 4 2 2 4 2 3 2 1"]
+
+
+@pytest.mark.parametrize("text", LENGTH_12_FINDINGS)
+class TestLengthTwelveFindings:
+    @pytest.mark.parametrize("target", ["conjecture1", "conjecture2"])
+    def test_scan_record(self, text, target):
+        assert _scan_pattern(parse_pattern(text), target, DEFAULT_BUDGET).to_json() == (
+            f'{{"pattern": "{text}", "is_fixed_point": false, "var_count": 4, "best_sigma_ij": null, '
+            '"best_uniform_k": null, "budget_hit": false, "finding": true}'
+        )
+
+    def test_searches(self, text):
+        pattern = parse_pattern(text)
+        assert search_sigma_ij(pattern) is None
+        assert least_uniform_alphabet(pattern, 3) is None
+        assert least_uniform_alphabet(pattern, 4) == 4
+
+    def test_every_alternative_erases(self, text):
+        # every sigma_ij is weakly unambiguous: the alternatives the solver
+        # finds all send some variable to the empty word
+        pattern = parse_pattern(text)
+        variables = sorted(pattern.variables)
+        for i, j in itertools.permutations(variables, 2):
+            sigma = merge_morphism(variables, i, j)
+            assert isinstance(is_ambiguous(sigma, pattern, allow_erasing=False), NoWitness), (i, j)
+
+    def test_oracles_agree(self, text):
+        pattern = parse_pattern(text)
+        assert oracle_fixed_point_morphisms(pattern) == []
+        variables = sorted(pattern.variables)
+        for i, j in itertools.permutations(variables, 2):
+            sigma = merge_morphism(variables, i, j)
+            assert any(tau != sigma for tau in oracle_preimages(pattern, sigma.apply(pattern))), (i, j)

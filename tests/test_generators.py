@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -218,6 +219,14 @@ class TestDebruijnPatterns:
         items = list(debruijn_patterns(3))
         keys = {(item.source_word, item.pattern) for item in items}
         assert len(keys) == len(items)
+
+    def test_stream_is_pinned(self):
+        # sha256 of every (pattern, natural morphism, source word), recorded
+        # when the positions were split by a recursion of their own
+        digest = hashlib.sha256()
+        for item in debruijn_patterns(3):
+            digest.update(f"{item.pattern}|{item.natural_morphism}|{item.source_word}\n".encode())
+        assert digest.hexdigest() == "d5d5aa11ce0a57bd63c4408bd5c5b6911e48332015859ddf291a4c5f9691b7cd"
 
     def test_guard(self):
         with pytest.raises(ResourceError):
