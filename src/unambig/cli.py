@@ -15,10 +15,10 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import IO, Iterable
+from typing import IO, Callable
 
 from .checks import pair_theorem_checks, pi_db_checks, shortest_checks, thue_checks
-from .errors import DomainError, InconsistencyError, ResourceError
+from .errors import DomainError, InconsistencyError, ParseError, ResourceError
 from .explorer import (
     SCAN_TARGETS,
     check_enumeration,
@@ -43,6 +43,8 @@ from .solver import (
     DEFAULT_BUDGET,
     BudgetExhausted,
     FixedPoint,
+    NoWitness,
+    NotFixedPoint,
     Witness,
     fixed_point_verdict,
     is_ambiguous,
@@ -88,12 +90,44 @@ def _open_output(path: str) -> IO[str]:
         raise DomainError(f"cannot write {path}: {exc.strerror}") from None
 
 
-def _emit(args: argparse.Namespace, record: dict, human: Iterable[str]) -> None:
+def _emit(args: argparse.Namespace, record: dict) -> None:
+    """Print the record as JSON with ``--json``, else as ``key: value`` lines:
+    a None value is left out, except that the first key reads ``none``, and
+    a list prints space-separated."""
     if args.json:
         print(json.dumps(record))
-    else:
-        for line in human:
-            print(line)
+        return
+    for position, (key, value) in enumerate(record.items()):
+        if value is None and position:
+            continue
+        if isinstance(value, list):
+            value = " ".join(map(str, value))
+        print(f"{key}: {'none' if value is None else value}")
+
+
+# verdict name and exit code of each decision outcome
+_OUTCOMES = {
+    Witness: ("ambiguous", EXIT_FAILS),
+    NoWitness: ("unambiguous", EXIT_HOLDS),
+    FixedPoint: ("fixed-point", EXIT_HOLDS),
+    NotFixedPoint: ("not-fixed-point", EXIT_FAILS),
+    BudgetExhausted: ("budget-exhausted", EXIT_RESOURCE),
+}
+
+
+Verdict = Witness | NoWitness | FixedPoint | NotFixedPoint | BudgetExhausted
+
+
+def _report(args: argparse.Namespace, verdict: Verdict, key: str, certificate: object) -> int:
+    """Emit a decision's verdict, its certificate under ``key`` (absent when
+    the budget ran out) and its node count; return the verdict's exit code."""
+    name, code = _OUTCOMES[type(verdict)]
+    record: dict = {"verdict": name}
+    if not isinstance(verdict, BudgetExhausted):
+        record[key] = None if certificate is None else str(certificate)
+    record["nodes"] = verdict.nodes_explored
+    _emit(args, record)
+    return code
 
 
 def _cmd_check_ambiguity(args: argparse.Namespace) -> int:
@@ -102,92 +136,28 @@ def _cmd_check_ambiguity(args: argparse.Namespace) -> int:
     verdict = is_ambiguous(
         sigma, pattern, allow_erasing=not args.nonerasing_only, budget=args.budget
     )
-    if isinstance(verdict, BudgetExhausted):
-        _emit(
-            args,
-            {"verdict": "budget-exhausted", "nodes": verdict.nodes_explored},
-            [f"verdict: budget-exhausted", f"nodes: {verdict.nodes_explored}"],
-        )
-        return EXIT_RESOURCE
-    if isinstance(verdict, Witness):
-        _emit(
-            args,
-            {
-                "verdict": "ambiguous",
-                "witness": str(verdict.tau),
-                "nodes": verdict.nodes_explored,
-            },
-            [
-                "verdict: ambiguous",
-                f"witness: {verdict.tau}",
-                f"nodes: {verdict.nodes_explored}",
-            ],
-        )
-        return EXIT_FAILS
-    _emit(
-        args,
-        {"verdict": "unambiguous", "witness": None, "nodes": verdict.nodes_explored},
-        ["verdict: unambiguous", f"nodes: {verdict.nodes_explored}"],
-    )
-    return EXIT_HOLDS
+    return _report(args, verdict, "witness", getattr(verdict, "tau", None))
 
 
 def _cmd_fixed_point(args: argparse.Namespace) -> int:
-    pattern = parse_pattern(args.pattern)
-    verdict = is_fixed_point(pattern, budget=args.budget)
-    if isinstance(verdict, BudgetExhausted):
-        _emit(
-            args,
-            {"verdict": "budget-exhausted", "nodes": verdict.nodes_explored},
-            ["verdict: budget-exhausted", f"nodes: {verdict.nodes_explored}"],
-        )
-        return EXIT_RESOURCE
-    if isinstance(verdict, FixedPoint):
-        _emit(
-            args,
-            {
-                "verdict": "fixed-point",
-                "morphism": str(verdict.phi),
-                "nodes": verdict.nodes_explored,
-            },
-            [
-                "verdict: fixed-point",
-                f"morphism: {verdict.phi}",
-                f"nodes: {verdict.nodes_explored}",
-            ],
-        )
-        return EXIT_HOLDS
-    _emit(
-        args,
-        {"verdict": "not-fixed-point", "morphism": None, "nodes": verdict.nodes_explored},
-        ["verdict: not-fixed-point", f"nodes: {verdict.nodes_explored}"],
-    )
-    return EXIT_FAILS
+    verdict = is_fixed_point(parse_pattern(args.pattern), budget=args.budget)
+    return _report(args, verdict, "morphism", getattr(verdict, "phi", None))
 
 
 def _cmd_search_sigma_ij(args: argparse.Namespace) -> int:
-    pattern = parse_pattern(args.pattern)
-    found = search_sigma_ij(pattern, budget=args.budget)
+    found = search_sigma_ij(parse_pattern(args.pattern), budget=args.budget)
     if found is None:
-        _emit(args, {"pair": None, "morphism": None}, ["pair: none"])
+        _emit(args, {"pair": None, "morphism": None})
         return EXIT_FAILS
     i, j, sigma = found
-    _emit(
-        args,
-        {"pair": [i, j], "morphism": str(sigma)},
-        [f"pair: {i} {j}", f"morphism: {sigma}"],
-    )
+    _emit(args, {"pair": [i, j], "morphism": str(sigma)})
     return EXIT_HOLDS
 
 
 def _cmd_search_uniform(args: argparse.Namespace) -> int:
-    pattern = parse_pattern(args.pattern)
-    sigma = search_1uniform(pattern, args.alphabet_size, budget=args.budget)
-    if sigma is None:
-        _emit(args, {"morphism": None}, ["morphism: none"])
-        return EXIT_FAILS
-    _emit(args, {"morphism": str(sigma)}, [f"morphism: {sigma}"])
-    return EXIT_HOLDS
+    sigma = search_1uniform(parse_pattern(args.pattern), args.alphabet_size, budget=args.budget)
+    _emit(args, {"morphism": None if sigma is None else str(sigma)})
+    return EXIT_FAILS if sigma is None else EXIT_HOLDS
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -201,8 +171,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
         try:
             exponents = [int(tok) for tok in args.beta.replace(".", " ").split()]
         except ValueError:
-            print(f"error: exponent list must be integers, got {args.beta!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise ParseError(f"exponent list must be integers, got {args.beta!r}") from None
         print(exponent_pattern(exponents))
     elif args.family == "shortest":
         pattern, sigma = shortest_non_fixed_point(args.n)
@@ -299,44 +268,38 @@ def build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    check = commands.add_parser(
-        "check-ambiguity", help="decide whether a morphism is ambiguous w.r.t. a pattern"
-    )
-    check.add_argument("--pattern", required=True)
-    check.add_argument("--morphism", required=True)
-    check.add_argument(
-        "--nonerasing-only",
-        action="store_true",
-        help="only nonerasing competitors count (weak unambiguity)",
-    )
-    check.add_argument("--json", action="store_true")
-    check.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-    check.set_defaults(handler=_cmd_check_ambiguity)
+    def decision(name: str, summary: str, handler: Callable, *options: tuple[str, dict]) -> None:
+        # every decision takes --pattern first and ends with --json and --budget
+        sub = commands.add_parser(name, help=summary)
+        sub.add_argument("--pattern", required=True)
+        for flag, spec in options:
+            sub.add_argument(flag, **spec)
+        sub.add_argument("--json", action="store_true")
+        sub.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
+        sub.set_defaults(handler=handler)
 
-    fixed = commands.add_parser(
-        "fixed-point", help="decide whether a pattern is a fixed point of a nontrivial morphism"
+    decision(
+        "check-ambiguity",
+        "decide whether a morphism is ambiguous w.r.t. a pattern",
+        _cmd_check_ambiguity,
+        ("--morphism", {"required": True}),
+        (
+            "--nonerasing-only",
+            {"action": "store_true", "help": "only nonerasing competitors count (weak unambiguity)"},
+        ),
     )
-    fixed.add_argument("--pattern", required=True)
-    fixed.add_argument("--json", action="store_true")
-    fixed.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-    fixed.set_defaults(handler=_cmd_fixed_point)
-
-    sigij = commands.add_parser(
-        "search-sigma-ij", help="find an unambiguous pair-merging morphism"
+    decision(
+        "fixed-point",
+        "decide whether a pattern is a fixed point of a nontrivial morphism",
+        _cmd_fixed_point,
     )
-    sigij.add_argument("--pattern", required=True)
-    sigij.add_argument("--json", action="store_true")
-    sigij.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-    sigij.set_defaults(handler=_cmd_search_sigma_ij)
-
-    uniform = commands.add_parser(
-        "search-uniform", help="find an unambiguous 1-uniform morphism over at most K letters"
+    decision("search-sigma-ij", "find an unambiguous pair-merging morphism", _cmd_search_sigma_ij)
+    decision(
+        "search-uniform",
+        "find an unambiguous 1-uniform morphism over at most K letters",
+        _cmd_search_uniform,
+        ("--alphabet-size", {"type": _positive, "required": True}),
     )
-    uniform.add_argument("--pattern", required=True)
-    uniform.add_argument("--alphabet-size", type=_positive, required=True)
-    uniform.add_argument("--json", action="store_true")
-    uniform.add_argument("--budget", type=_positive, default=DEFAULT_BUDGET)
-    uniform.set_defaults(handler=_cmd_search_uniform)
 
     generate = commands.add_parser("generate", help="print a pattern or word family")
     families = generate.add_subparsers(dest="family", required=True)

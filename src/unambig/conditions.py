@@ -106,7 +106,7 @@ def image_is_fixed_point(pattern: Pattern, i: int, j: int, *, budget: int = DEFA
     """Whether the pair-merged image word, read as a pattern, is a fixed point.
 
     A true result means the pair-merging morphism for (i, j) is certainly
-    ambiguous, so searches can skip it without running the solver.
+    ambiguous.
     """
     word = merge_morphism(pattern.variables, i, j).apply(pattern)
     verdict = fixed_point_verdict(word_to_pattern(word), budget=budget)

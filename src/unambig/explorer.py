@@ -11,12 +11,13 @@ result ever contradicts a proven statement.
 from __future__ import annotations
 
 import json
+import os
 from dataclasses import dataclass
 from functools import partial
 from multiprocessing import Pool
 from typing import Iterator
 
-from .conditions import BillaudReport, _pair_clauses, billaud_instance, image_is_fixed_point
+from .conditions import BillaudReport, _pair_clauses, billaud_instance
 from .errors import BudgetError, DomainError, InconsistencyError, ResourceError
 from .morphisms import Morphism, merge_morphism
 from .solver import DEFAULT_BUDGET, BudgetExhausted, NoWitness, fixed_point_verdict, is_ambiguous
@@ -35,8 +36,7 @@ def search_sigma_ij(
     unambiguous with respect to the pattern, or None.
 
     Fixed points are rejected outright (every nonerasing morphism is
-    ambiguous there).  Pairs iterate lexicographically; each is first run
-    through the merged-image fixed-point filter (certainly ambiguous), then
+    ambiguous there).  Pairs iterate lexicographically; each is
     fast-accepted when the pair condition certifies unambiguity, and only
     otherwise decided by the solver.  A solver verdict is reused for the
     mirrored pair, whose merged image is the same word up to renaming.
@@ -54,9 +54,6 @@ def search_sigma_ij(
     for i in variables:
         for j in variables:
             if i == j or (j, i) in settled:
-                continue
-            if image_is_fixed_point(pattern, i, j, budget=budget):
-                settled.add((i, j))
                 continue
             sigma = merge_morphism(variables, i, j)
             if clauses is None:
@@ -324,8 +321,9 @@ def conjecture_scan(
     Scopes: conjectures 1 and 2 take patterns with at least 4 distinct
     variables, conjecture 3 at least 3, and theorem7 takes patterns with more
     than 3 variables all of multiplicity 2.  Records stream in enumeration
-    order regardless of the worker count.  The arguments are checked when the
-    scan is called, before the first record is asked for.
+    order regardless of the worker count, which may not exceed the CPU count.
+    The arguments are checked when the scan is called, before the first
+    record is asked for.
     """
     if target not in SCAN_TARGETS:
         raise DomainError(f"unknown scan target {target!r}; expected one of {', '.join(SCAN_TARGETS)}")
@@ -333,6 +331,10 @@ def conjecture_scan(
         raise ResourceError(f"scans support max_len <= {MAX_SCAN_LENGTH}, got {max_len}")
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
+    cpus = os.cpu_count() or 1
+    if workers > cpus:
+        # the pool forks every worker at once
+        raise DomainError(f"workers must be <= {cpus}, the CPU count, got {workers}")
     return _scan_records(_scan_scope(max_len, target), target, budget, workers)
 
 

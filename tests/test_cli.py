@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import unambig
-from unambig import checks, cli
+from unambig import checks, cli, explorer
 from unambig.errors import InconsistencyError
 from unambig.explorer import SCAN_TARGETS, ScanRecord
 from unambig.morphisms import Morphism, Substitution
@@ -139,6 +139,175 @@ class TestSearches:
         assert code == 0
         sigma = Morphism.parse(out.removeprefix("morphism: ").strip())
         assert sigma.classify().one_uniform
+
+
+AMBIGUOUS = ["check-ambiguity", "--pattern", A0, "--morphism", "1=a,2=a,3=b"]
+
+# Exact stdout, exit code and stderr of each decision subcommand, human and
+# --json, per outcome; a None value drops out of the human lines except as the
+# first key, and a budget that a search exceeds is reported on stderr only.
+DECISIONS = [
+    pytest.param(
+        AMBIGUOUS,
+        1,
+        "verdict: ambiguous\nwitness: 1=,2=a,3=ab\nnodes: 10\n",
+        '{"verdict": "ambiguous", "witness": "1=,2=a,3=ab", "nodes": 10}\n',
+        "",
+        id="ambiguous",
+    ),
+    pytest.param(
+        ["check-ambiguity", "--pattern", A0, "--morphism", "1=a,2=ab,3=b"],
+        0,
+        "verdict: unambiguous\nnodes: 55\n",
+        '{"verdict": "unambiguous", "witness": null, "nodes": 55}\n',
+        "",
+        id="unambiguous",
+    ),
+    pytest.param(
+        [*AMBIGUOUS, "--nonerasing-only"],
+        0,
+        "verdict: unambiguous\nnodes: 3\n",
+        '{"verdict": "unambiguous", "witness": null, "nodes": 3}\n',
+        "",
+        id="nonerasing-only",
+    ),
+    pytest.param(
+        [*AMBIGUOUS, "--nonerasing-only", "--budget", "3"],
+        0,
+        "verdict: unambiguous\nnodes: 3\n",
+        '{"verdict": "unambiguous", "witness": null, "nodes": 3}\n',
+        "",
+        id="nonerasing-only-budget-3",
+    ),
+    pytest.param(
+        [*AMBIGUOUS, "--budget", "1"],
+        3,
+        "verdict: budget-exhausted\nnodes: 1\n",
+        '{"verdict": "budget-exhausted", "nodes": 1}\n',
+        "",
+        id="ambiguity-budget-1",
+    ),
+    pytest.param(
+        [*AMBIGUOUS, "--budget", "3"],
+        3,
+        "verdict: budget-exhausted\nnodes: 3\n",
+        '{"verdict": "budget-exhausted", "nodes": 3}\n',
+        "",
+        id="ambiguity-budget-3",
+    ),
+    pytest.param(
+        ["fixed-point", "--pattern", "1 2 1 2"],
+        0,
+        "verdict: fixed-point\nmorphism: 1=,2=1 2\nnodes: 4\n",
+        '{"verdict": "fixed-point", "morphism": "1=,2=1 2", "nodes": 4}\n',
+        "",
+        id="fixed-point",
+    ),
+    pytest.param(
+        ["fixed-point", "--pattern", A1],
+        1,
+        "verdict: not-fixed-point\nnodes: 125\n",
+        '{"verdict": "not-fixed-point", "morphism": null, "nodes": 125}\n',
+        "",
+        id="not-fixed-point",
+    ),
+    pytest.param(
+        ["fixed-point", "--pattern", A0],
+        1,
+        "verdict: not-fixed-point\nnodes: 34\n",
+        '{"verdict": "not-fixed-point", "morphism": null, "nodes": 34}\n',
+        "",
+        id="running-example-not-fixed-point",
+    ),
+    pytest.param(
+        ["fixed-point", "--pattern", "1 2 1 2", "--budget", "1"],
+        3,
+        "verdict: budget-exhausted\nnodes: 1\n",
+        '{"verdict": "budget-exhausted", "nodes": 1}\n',
+        "",
+        id="fixed-point-budget-1",
+    ),
+    pytest.param(
+        ["fixed-point", "--pattern", A1, "--budget", "3"],
+        3,
+        "verdict: budget-exhausted\nnodes: 3\n",
+        '{"verdict": "budget-exhausted", "nodes": 3}\n',
+        "",
+        id="fixed-point-budget-3",
+    ),
+    pytest.param(
+        ["search-sigma-ij", "--pattern", A1],
+        0,
+        "pair: 1 2\nmorphism: 1=a,2=a,3=c,4=d\n",
+        '{"pair": [1, 2], "morphism": "1=a,2=a,3=c,4=d"}\n',
+        "",
+        id="sigma-ij-found",
+    ),
+    pytest.param(
+        ["search-sigma-ij", "--pattern", A0],
+        1,
+        "pair: none\n",
+        '{"pair": null, "morphism": null}\n',
+        "",
+        id="sigma-ij-absent",
+    ),
+    pytest.param(
+        ["search-sigma-ij", "--pattern", A1, "--budget", "1"],
+        3,
+        "",
+        "",
+        "resource limit: fixed-point check of the pattern exceeded 1 nodes\n",
+        id="sigma-ij-budget-1",
+    ),
+    pytest.param(
+        ["search-sigma-ij", "--pattern", A0, "--budget", "3"],
+        3,
+        "",
+        "",
+        "resource limit: fixed-point check of the pattern exceeded 3 nodes\n",
+        id="sigma-ij-budget-3",
+    ),
+    pytest.param(
+        ["search-uniform", "--pattern", A0, "--alphabet-size", "2"],
+        1,
+        "morphism: none\n",
+        '{"morphism": null}\n',
+        "",
+        id="uniform-2-absent",
+    ),
+    pytest.param(
+        ["search-uniform", "--pattern", A0, "--alphabet-size", "3"],
+        0,
+        "morphism: 1=a,2=b,3=c\n",
+        '{"morphism": "1=a,2=b,3=c"}\n',
+        "",
+        id="uniform-3-found",
+    ),
+    pytest.param(
+        ["search-uniform", "--pattern", A0, "--alphabet-size", "3", "--budget", "1"],
+        3,
+        "",
+        "",
+        "resource limit: solver run for coloring (0, 0, 0) exceeded 1 nodes\n",
+        id="uniform-budget-1",
+    ),
+    pytest.param(
+        ["search-uniform", "--pattern", A0, "--alphabet-size", "2", "--budget", "3"],
+        3,
+        "",
+        "",
+        "resource limit: solver run for coloring (0, 0, 0) exceeded 3 nodes\n",
+        id="uniform-budget-3",
+    ),
+]
+
+
+class TestDecisionOutput:
+    @pytest.mark.parametrize("json_flag", [False, True], ids=["human", "json"])
+    @pytest.mark.parametrize("argv, code, human, json_line, err", DECISIONS)
+    def test_exact_bytes(self, capsys, argv, code, human, json_line, err, json_flag):
+        got = run_cli(capsys, *argv, *(["--json"] if json_flag else []))
+        assert got == (code, json_line if json_flag else human, err)
 
 
 class TestGenerate:
@@ -287,6 +456,21 @@ class TestScan:
         assert code == 3
         assert out_file.read_bytes() == b"precious\n"
 
+    def test_more_workers_than_cpus_is_usage_error_before_the_output_opens(self, capsys, tmp_path, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(explorer, "Pool", no_pool)
+        out_file = tmp_path / "x.jsonl"
+        out_file.write_bytes(b"precious\n")
+        code, out, err = run_cli(
+            capsys, "scan", "--target", "conjecture3", "--max-len", "6", "--out", str(out_file), "--workers", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: workers must be <= 2, the CPU count, got 3\n"
+        assert out_file.read_bytes() == b"precious\n"
+
     def test_unknown_target_lists_every_target(self, capsys, tmp_path):
         code, _, err = run_cli(
             capsys,
@@ -375,11 +559,24 @@ class TestVerify:
         assert "Traceback" not in err
 
     def test_resource_limit_inside_a_bundle_is_exit_3(self, capsys):
-        # bundles are lazy, so the guard fires while the handler consumes them
+        # the bundle checks k before its first check, while the handler
+        # consumes it
         code, _, err = run_cli(capsys, "verify", "pi-db", "--k", "5")
         assert code == 3
         assert "resource limit" in err
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize("k", ["2", "4"])
+    def test_pi_db_beyond_k_3_is_exit_3_before_listing_the_family(self, capsys, monkeypatch, k):
+        # listing the k = 4 family runs for minutes, so it must not start
+        def unreachable(k):
+            raise AssertionError("debruijn_patterns called")
+
+        monkeypatch.setattr(checks, "debruijn_patterns", unreachable)
+        code, out, err = run_cli(capsys, "verify", "pi-db", "--k", k)
+        assert code == 3
+        assert out == ""
+        assert err == f"resource limit: the pi-db bundle supports k = 3 only, got {k}\n"
 
     @pytest.mark.parametrize("span", ["2..3", "0", "1..5"])
     def test_thue_below_the_statement_range_is_usage_error(self, capsys, span):

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from unambig.conditions import billaud_instance
+from unambig import explorer, solver
+from unambig.conditions import _pair_clauses, billaud_instance, image_is_fixed_point
 from unambig.errors import BudgetError, DomainError, ResourceError
 from unambig.explorer import (
     SCAN_TARGETS,
@@ -94,7 +95,65 @@ class TestCanonicalColorings:
             list(canonical_colorings(items, colors))
 
 
+def filtered_search_sigma_ij(pattern, *, budget=DEFAULT_BUDGET):
+    """search_sigma_ij as it was with the merged-image filter: a pair whose
+    merged image is a fixed point is settled as ambiguous before the pair
+    condition or the solver sees it."""
+    variables = sorted(pattern.variables)
+    if len(variables) < 2:
+        raise DomainError("the pattern needs at least 2 distinct variables")
+    own = fixed_point_verdict(pattern, budget=budget)
+    if own is None:
+        raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
+    if own:
+        return None
+    settled = set()
+    clauses = None
+    for i in variables:
+        for j in variables:
+            if i == j or (j, i) in settled:
+                continue
+            if image_is_fixed_point(pattern, i, j, budget=budget):
+                settled.add((i, j))
+                continue
+            sigma = merge_morphism(variables, i, j)
+            if clauses is None:
+                clauses = _pair_clauses(pattern)
+            if clauses(i, j)[-1]:
+                return (i, j, sigma)
+            verdict = is_ambiguous(sigma, pattern, budget=budget)
+            if isinstance(verdict, BudgetExhausted):
+                raise BudgetError(f"solver run for the pair ({i}, {j}) exceeded {budget} nodes")
+            if isinstance(verdict, NoWitness):
+                return (i, j, sigma)
+            settled.add((i, j))
+    return None
+
+
+def sigma_ij_outcomes(search, length):
+    """The search's answer, or its BudgetError message, on every canonical
+    pattern of the length with at least 2 variables, at budgets 1..100 and
+    the default."""
+    outcomes = []
+    for budget in [*range(1, 101), DEFAULT_BUDGET]:
+        for pattern in enumerate_canonical_patterns(length, min_vars=2):
+            try:
+                outcomes.append(search(pattern, budget=budget))
+            except BudgetError as exc:
+                outcomes.append(str(exc))
+    return outcomes
+
+
 class TestSearchSigmaIj:
+    @pytest.mark.parametrize("length", range(2, 8))
+    def test_same_answers_as_with_the_merged_image_filter(self, monkeypatch, length):
+        # a nontrivial phi fixing the merged image makes phi o sigma an
+        # alternative, so the solver finds every pair the filter settled
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        expected = sigma_ij_outcomes(filtered_search_sigma_ij, length)
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        assert sigma_ij_outcomes(search_sigma_ij, length) == expected
+
     def test_eight_symbol_example(self):
         found = search_sigma_ij(A1)
         assert found is not None
@@ -480,6 +539,21 @@ class TestConjectureScan:
             list(conjecture_scan(15, "conjecture2"))
         with pytest.raises(DomainError):
             list(conjecture_scan(8, "conjecture2", workers=0))
+
+    def test_more_workers_than_cpus_is_a_domain_error_before_any_fork(self, monkeypatch):
+        def no_pool(workers):
+            raise AssertionError("a pool was started")
+
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
+        monkeypatch.setattr(explorer, "Pool", no_pool)
+        with pytest.raises(DomainError, match="workers must be <= 3, the CPU count, got 4"):
+            conjecture_scan(8, "theorem7", workers=4)
+
+    def test_unknown_cpu_count_allows_one_worker(self, monkeypatch):
+        monkeypatch.setattr(explorer.os, "cpu_count", lambda: None)
+        with pytest.raises(DomainError, match="workers must be <= 1, the CPU count, got 2"):
+            conjecture_scan(8, "theorem7", workers=2)
+        assert len(list(conjecture_scan(8, "theorem7", workers=1))) == 105
 
     def test_worker_pool_preserves_order(self):
         serial = list(conjecture_scan(8, "theorem7"))
