@@ -2,7 +2,8 @@
 
 Each bundle yields ``(ok, description)`` pairs in a fixed order.  ``unambig
 verify`` prints them and the acceptance criteria assert them, so each check
-is written once, here.  Every decision runs at the callees' default budget.
+is written once, here.  Every decision runs at the callees' default budget;
+a decision that runs out of it is a BudgetError, never a failed check.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from itertools import permutations
 from typing import Iterable, Iterator
 
 from .conditions import _pair_clauses
-from .errors import DomainError, ResourceError
+from .errors import BudgetError, DomainError, ResourceError
 from .explorer import check_enumeration, enumerate_canonical_patterns, search_1uniform
 from .generators import (
     debruijn_patterns,
@@ -21,9 +22,9 @@ from .generators import (
     thue_morphism,
     thue_word,
 )
-from .morphisms import merge_morphism
-from .solver import NoWitness, fixed_point_verdict, is_ambiguous
-from .words import parse_pattern
+from .morphisms import Morphism, merge_morphism
+from .solver import DEFAULT_BUDGET, BudgetExhausted, NoWitness, fixed_point_verdict, is_ambiguous
+from .words import Pattern, parse_pattern
 
 Check = tuple[bool, str]
 
@@ -36,6 +37,20 @@ DEBRUIJN_3_2 = "aabacbbcca"
 # obtained from aabacbbcca by replacing each letter's occurrences with
 # fresh variables, two blocks for the a's and one for each other letter
 DB_PATTERN_SAMPLE = "1 1 2 3 4 2 2 4 4 3"
+
+
+def _unambiguous(sigma: Morphism, pattern: Pattern) -> bool:
+    verdict = is_ambiguous(sigma, pattern)
+    if isinstance(verdict, BudgetExhausted):
+        raise BudgetError(f"ambiguity check of {sigma} on {pattern} exceeded {DEFAULT_BUDGET} nodes")
+    return isinstance(verdict, NoWitness)
+
+
+def _fixed_point(pattern: Pattern) -> bool:
+    verdict = fixed_point_verdict(pattern)
+    if verdict is None:
+        raise BudgetError(f"fixed-point check of {pattern} exceeded {DEFAULT_BUDGET} nodes")
+    return verdict
 
 
 def thue_checks(ms: Iterable[int]) -> Iterator[Check]:
@@ -56,7 +71,7 @@ def thue_checks(ms: Iterable[int]) -> Iterator[Check]:
         sigma = thue_morphism(m)
         yield sigma.letters <= {"a", "b", "c"}, f"square-free morphism at m={m} uses only a, b, c"
         yield (
-            isinstance(is_ambiguous(sigma, alpha), NoWitness),
+            _unambiguous(sigma, alpha),
             f"ternary square-free morphism unambiguous at m={m}",
         )
 
@@ -66,13 +81,13 @@ def shortest_checks(ns: Iterable[int]) -> Iterator[Check]:
     unambiguous morphism."""
     for n in ns:
         pattern, sigma = shortest_non_fixed_point(n)
-        yield fixed_point_verdict(pattern) is False, f"n={n} pattern is not a fixed point"
+        yield not _fixed_point(pattern), f"n={n} pattern is not a fixed point"
         yield (
             len(pattern.variables) == n and all(pattern.multiplicity(v) == 2 for v in pattern.variables),
             f"n={n} pattern has {n} variables, each twice",
         )
         yield sigma.letters <= {"a", "b"}, f"n={n} morphism uses only a, b"
-        yield isinstance(is_ambiguous(sigma, pattern), NoWitness), f"n={n} binary morphism unambiguous"
+        yield _unambiguous(sigma, pattern), f"n={n} binary morphism unambiguous"
 
 
 def pi_db_checks(k: int) -> Iterator[Check]:
@@ -95,7 +110,7 @@ def pi_db_checks(k: int) -> Iterator[Check]:
     yield parse_pattern(DB_PATTERN_SAMPLE) in distinct, "sample pattern emitted"
     natural = dict.fromkeys((item.pattern, item.natural_morphism) for item in items)
     yield (
-        all(isinstance(is_ambiguous(sigma, pattern), NoWitness) for pattern, sigma in natural),
+        all(_unambiguous(sigma, pattern) for pattern, sigma in natural),
         f"all {len(natural)} natural morphisms unambiguous",
     )
 
@@ -114,8 +129,7 @@ def pair_theorem_checks(max_len: int) -> Iterator[Check]:
             if length % mult:
                 continue
             for pattern in enumerate_canonical_patterns(length, uniform_multiplicity=mult):
-                # a budget-exhausted check counts as "not a fixed point"
-                if fixed_point_verdict(pattern):
+                if _fixed_point(pattern):
                     continue
                 patterns += 1
                 clauses = _pair_clauses(pattern)
@@ -124,7 +138,7 @@ def pair_theorem_checks(max_len: int) -> Iterator[Check]:
                         continue
                     checked_pairs += 1
                     sigma = merge_morphism(pattern.variables, i, j)
-                    if violation is None and not isinstance(is_ambiguous(sigma, pattern), NoWitness):
+                    if violation is None and not _unambiguous(sigma, pattern):
                         violation = f" (first violation: pattern {pattern}, pair ({i}, {j}))"
     yield (
         violation is None,

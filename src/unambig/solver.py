@@ -15,6 +15,15 @@ the last variable's candidates that cannot end on the word's end are counted
 without being tried.  The search walks the pattern with an explicit stack of
 choice points, one per assigned variable, so its depth is bounded by memory,
 not by the interpreter's recursion limit.
+
+Where the pattern splits as alpha = beta gamma with no variable in both
+halves, the search below the first variable of gamma depends only on the
+word position where gamma starts.  Each search remembers, for the length of
+one call, how many nodes such a subtree counted when it held no solution, and
+counts them again in one step when the subtree opens at the same position.
+``nodes_explored`` therefore counts candidates in the search tree, those of
+remembered subtrees included; on such decomposable patterns it no longer
+tracks time.
 """
 
 from __future__ import annotations
@@ -95,6 +104,13 @@ def _iter_assignments(
     ``counter[0]`` holds the node count whenever an assignment is yielded and
     when the search ends; counting a node beyond ``budget`` raises _BudgetHit
     with ``counter[0] == budget``.
+
+    A cut slot's first occurrence follows every occurrence of every earlier
+    slot, so the subtree of its choice point reads no earlier image and is
+    a function of the word position alone.  A cut choice point exhausted
+    with no yield since it opened leaves its node count in ``memo``; a later
+    opening at the same position counts those nodes at once and is
+    exhausted.
     """
     n = len(symbols)
     total = len(word)
@@ -108,6 +124,15 @@ def _iter_assignments(
     counts = [0] * len(order)
     for s in idx:
         counts[s] += 1
+    # pending: occurrences left of the slots seen so far
+    cut = [False] * len(order)
+    seen = pending = 0
+    for s in idx:
+        if s == seen:
+            cut[s] = not pending
+            pending += counts[s]
+            seen += 1
+        pending -= 1
     last = len(order) - 1
     if min_len * n > total:
         counter[0] = 0
@@ -126,6 +151,12 @@ def _iter_assignments(
     cp = cq = base = occ = ln = hi = 0
     x = -1
     nodes = 0
+    # memo: (cut slot, word position) -> nodes of its solution-free subtree;
+    # opened[s]: the node count when slot s's choice point opened; yielded:
+    # the node count at the last yield
+    memo: dict[tuple[int, int], int] = {}
+    opened = [0] * len(order)
+    yielded = -1
     # p, q: positions in symbols and word; reach: the least length of the
     # word under the current assignment.  hi keeps reach <= total, so the walk
     # needs no length check, and once the last variable is assigned reach is
@@ -137,12 +168,21 @@ def _iter_assignments(
         while True:
             if p == n:
                 if q == total:
-                    counter[0] = nodes
+                    counter[0] = yielded = nodes
                     yield dict(zip(order, images))
                 break
             s = idx[p]
             img = images[s]
             if img is None:
+                if cut[s]:
+                    known = memo.get((s, q))
+                    if known is not None:
+                        if nodes + known > budget:
+                            counter[0] = budget
+                            raise _BudgetHit
+                        nodes += known
+                        break
+                    opened[s] = nodes
                 stack.append((cp, cq, base, x, ln, hi, occ))
                 occ = counts[s]
                 base = reach - occ * min_len
@@ -171,6 +211,8 @@ def _iter_assignments(
             if not stack:
                 counter[0] = nodes
                 return
+            if cut[x] and opened[x] > yielded:
+                memo[x, cq] = nodes - opened[x]
             cp, cq, base, x, ln, hi, occ = stack.pop()
         if nodes >= budget:
             counter[0] = nodes

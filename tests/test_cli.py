@@ -11,7 +11,7 @@ from unambig import checks, cli, explorer
 from unambig.errors import InconsistencyError
 from unambig.explorer import SCAN_TARGETS, ScanRecord
 from unambig.morphisms import Morphism, Substitution
-from unambig.solver import Witness
+from unambig.solver import BudgetExhausted, Witness
 from unambig.words import Pattern, parse_pattern
 
 A0 = "1 2 3 1 3 2"
@@ -548,6 +548,48 @@ class TestVerify:
             "FAIL: 6 passing pairs across 26 uniform non-fixed-point patterns of length <= 6 "
             "all verify unambiguous (first violation: pattern 1 1 2 2 3 3, pair (1, 3))\n"
         )
+
+    @pytest.mark.parametrize(
+        "args, ok_lines",
+        [
+            (("thue", "--m", "4..4"), 3),
+            (("shortest", "--n", "2..2"), 3),
+            (("pi-db", "--k", "3"), 4),
+            (("pair-theorem", "--max-len", "6"), 0),
+        ],
+    )
+    def test_exhausted_ambiguity_budget_is_exit_3_not_a_failure(self, capsys, monkeypatch, args, ok_lines):
+        monkeypatch.setattr(checks, "is_ambiguous", lambda sigma, pattern: BudgetExhausted(10**8))
+        code, out, err = run_cli(capsys, "verify", *args)
+        assert code == 3
+        lines = out.splitlines()
+        assert len(lines) == ok_lines
+        assert all(line.startswith("ok: ") for line in lines)
+        assert "resource limit: ambiguity check of " in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("args", [("shortest", "--n", "2..3"), ("pair-theorem", "--max-len", "6")])
+    def test_exhausted_fixed_point_budget_is_exit_3_not_a_verdict(self, capsys, monkeypatch, args):
+        monkeypatch.setattr(checks, "fixed_point_verdict", lambda pattern: None)
+        code, out, err = run_cli(capsys, "verify", *args)
+        assert code == 3
+        assert out == ""
+        assert "resource limit: fixed-point check of " in err
+        assert "Traceback" not in err
+
+    def test_exhausted_budget_after_earlier_checks_keeps_their_lines(self, capsys, monkeypatch):
+        # n = 2 is decided; the fixed-point check for n = 3 runs out
+        real = checks.fixed_point_verdict
+        monkeypatch.setattr(checks, "fixed_point_verdict", lambda p: None if len(p.variables) == 3 else real(p))
+        code, out, err = run_cli(capsys, "verify", "shortest", "--n", "2..3")
+        assert code == 3
+        assert out.splitlines() == [
+            "ok: n=2 pattern is not a fixed point",
+            "ok: n=2 pattern has 2 variables, each twice",
+            "ok: n=2 morphism uses only a, b",
+            "ok: n=2 binary morphism unambiguous",
+        ]
+        assert "resource limit: fixed-point check of " in err
 
     def test_pair_theorem_beyond_the_enumeration_guard_is_exit_3_up_front(self, capsys, monkeypatch):
         # a sweep that started would enumerate every length up to the guard

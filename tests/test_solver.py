@@ -474,18 +474,60 @@ def solver_core_inputs():
                     yield length, pattern.symbols, image
 
 
+def decomposable_inputs():
+    """Patterns that split into blocks with no variable in common: each
+    squares pattern 1 1 ... m m for m <= 6 under the square-free morphism,
+    its binary first-occurrence image and its own symbols, and
+    concatenations of small blocks under their own symbols and their binary
+    and ternary first-occurrence images."""
+    for m in range(1, 7):
+        pattern = squares_pattern(m)
+        yield pattern.symbols, thue_morphism(m).apply(pattern)
+        yield pattern.symbols, "".join("ab"[(v - 1) % 2] for v in pattern.symbols)
+        yield pattern.symbols, pattern.symbols
+    for text in ("1 2 1 2 3 3 4 5 4 5", "1 2 2 1 3 4 3 4 5 5", "1 1 2 3 2 3 4 4", "1 2 1 3 3 2 4 5 5 4"):
+        symbols = parse_pattern(text).symbols
+        yield symbols, symbols
+        for letters in ("ab", "abc"):
+            yield symbols, "".join(letters[(v - 1) % len(letters)] for v in symbols)
+
+
+def assert_matches_reference(symbols, word, every_budget_up_to):
+    """Both searches give the same trace with either min_len, unbounded and at
+    each budget from 1 to the total when the total is at most
+    every_budget_up_to, else at the total and one below it."""
+    for min_len in (0, 1):
+        full = run_search(reference_assignments, symbols, word, min_len, inf)
+        assert run_search(solver._iter_assignments, symbols, word, min_len, inf) == full
+        total = full[2]
+        low = 1 if total <= every_budget_up_to else max(total - 1, 1)
+        for budget in range(low, total + 1):
+            expected = run_search(reference_assignments, symbols, word, min_len, budget)
+            got = run_search(solver._iter_assignments, symbols, word, min_len, budget)
+            assert got == expected, (symbols, word, min_len, budget)
+
+
 class TestSolverCore:
     def test_matches_the_one_candidate_at_a_time_search(self):
         for length, symbols, word in solver_core_inputs():
-            for min_len in (0, 1):
-                full = run_search(reference_assignments, symbols, word, min_len, inf)
-                assert run_search(solver._iter_assignments, symbols, word, min_len, inf) == full
-                total = full[2]
-                low = 1 if length <= 5 else max(total - 1, 1)
-                for budget in range(low, total + 1):
-                    expected = run_search(reference_assignments, symbols, word, min_len, budget)
-                    got = run_search(solver._iter_assignments, symbols, word, min_len, budget)
-                    assert got == expected, (symbols, word, min_len, budget)
+            assert_matches_reference(symbols, word, inf if length <= 5 else 0)
+
+    def test_remembered_subtrees_match_the_reference(self):
+        for symbols, word in decomposable_inputs():
+            assert_matches_reference(symbols, word, 2000)
+
+    def test_excluded_assignment_inside_a_remembered_block(self, monkeypatch):
+        # sigma's own assignment is the one solution of the block 3 3 4 4
+        # opened at word position 2; the witness opens that block at the same
+        # position again with other images for 1 and 2, so a memo entry for a
+        # subtree that yielded sigma would hide it
+        pattern = parse_pattern("1 2 1 2 3 3 4 4")
+        sigma = Morphism.of({1: "", 2: "a", 3: "b", 4: "c"})
+        got = is_ambiguous(sigma, pattern)
+        monkeypatch.setattr(solver, "_iter_assignments", reference_assignments)
+        assert got == is_ambiguous(sigma, pattern)
+        assert got.tau == Morphism.of({1: "a", 2: "", 3: "b", 4: "c"})
+        assert got.differing_variable == 1
 
 
 # Images for the golden morphisms: variable v maps to images[(v - 1) % len].
@@ -521,3 +563,19 @@ def test_golden_solver_digest():
     for result in golden_results():
         digest.update(repr(result).encode() + b"\n")
     assert digest.hexdigest() == GOLDEN_DIGEST
+
+
+# Node counts of the squares pattern under the square-free morphism, recorded
+# with the search that walks every node of its tree.
+SQUARES_NODES = {17: 1376237, 18: 2883564, 19: 6029291, 20: 12582890}
+
+
+@pytest.mark.parametrize("m", sorted(SQUARES_NODES))
+def test_squares_pattern_node_counts(m):
+    result = is_ambiguous(thue_morphism(m), squares_pattern(m))
+    assert result == NoWitness(nodes_explored=SQUARES_NODES[m])
+
+
+def test_squares_pattern_runs_out_of_the_default_budget():
+    result = is_ambiguous(thue_morphism(24), squares_pattern(24))
+    assert result == BudgetExhausted(nodes_explored=10**8)
