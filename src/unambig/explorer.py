@@ -202,10 +202,10 @@ class ScanRecord:
     pattern: Pattern
     is_fixed_point: bool | None
     var_count: int
-    best_sigma_ij: tuple[int, int] | None
-    best_uniform_k: int | None
-    budget_hit: bool
-    finding: bool
+    best_sigma_ij: tuple[int, int] | None = None
+    best_uniform_k: int | None = None
+    budget_hit: bool = False
+    finding: bool = False
     billaud: BillaudReport | None = None
 
     def to_json(self) -> str:
@@ -230,77 +230,51 @@ class ScanRecord:
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
         data = json.loads(line)
-        billaud = None
+        data["pattern"] = parse_pattern(data["pattern"])
+        if data["best_sigma_ij"]:
+            data["best_sigma_ij"] = tuple(data["best_sigma_ij"])
         if "billaud" in data:
-            raw = data["billaud"]
-            billaud = BillaudReport(
-                delta_fixed_point={int(v): fp for v, fp in raw["delta_fixed_point"].items()},
-                hypothesis_holds=raw["hypothesis_holds"],
-                alpha_is_fixed_point=raw["alpha_is_fixed_point"],
-                conjecture_instance_ok=raw["conjecture_instance_ok"],
-            )
-        return cls(
-            pattern=parse_pattern(data["pattern"]),
-            is_fixed_point=data["is_fixed_point"],
-            var_count=data["var_count"],
-            best_sigma_ij=tuple(data["best_sigma_ij"]) if data["best_sigma_ij"] else None,
-            best_uniform_k=data["best_uniform_k"],
-            budget_hit=data["budget_hit"],
-            finding=data["finding"],
-            billaud=billaud,
-        )
+            report = data["billaud"]
+            report["delta_fixed_point"] = {int(v): fp for v, fp in report["delta_fixed_point"].items()}
+            data["billaud"] = BillaudReport(**report)
+        return cls(**data)
 
 
 def _scan_pattern(pattern: Pattern, target: str, budget: int) -> ScanRecord:
     var_count = len(pattern.variables)
-    if target == "conjecture3":
-        # billaud_instance decides the pattern itself too; only on a budget
-        # hit is the pattern's own verdict (None or a bool) asked for again
-        try:
-            report = billaud_instance(pattern, budget=budget)
-        except BudgetError:
-            alpha_fp = fixed_point_verdict(pattern, budget=budget)
-            return ScanRecord(pattern, alpha_fp, var_count, None, None, True, False)
-        return ScanRecord(
-            pattern,
-            report.alpha_is_fixed_point,
-            var_count,
-            None,
-            None,
-            False,
-            not report.conjecture_instance_ok,
-            billaud=report,
-        )
-
-    alpha_fp = fixed_point_verdict(pattern, budget=budget)
-    if alpha_fp is None:
-        return ScanRecord(pattern, None, var_count, None, None, True, False)
-    if alpha_fp:
-        # every nonerasing morphism is ambiguous on a fixed point, so there
-        # is nothing to search and nothing to flag
-        return ScanRecord(pattern, True, var_count, None, None, False, False)
-
-    if target == "conjecture1":
-        try:
-            k = least_uniform_alphabet(pattern, var_count - 1, budget=budget)
-        except BudgetError:
-            return ScanRecord(pattern, False, var_count, None, None, True, False)
-        return ScanRecord(pattern, False, var_count, None, k, False, k is None)
-
     try:
+        if target == "conjecture3":
+            # billaud_instance decides the pattern itself too
+            report = billaud_instance(pattern, budget=budget)
+            return ScanRecord(
+                pattern,
+                report.alpha_is_fixed_point,
+                var_count,
+                finding=not report.conjecture_instance_ok,
+                billaud=report,
+            )
+        alpha_fp = fixed_point_verdict(pattern, budget=budget)
+        if alpha_fp is None:
+            raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
+        if alpha_fp:
+            # every nonerasing morphism is ambiguous on a fixed point, so there
+            # is nothing to search and nothing to flag
+            return ScanRecord(pattern, True, var_count)
+        if target == "conjecture1":
+            k = least_uniform_alphabet(pattern, var_count - 1, budget=budget)
+            return ScanRecord(pattern, False, var_count, best_uniform_k=k, finding=k is None)
         found = search_sigma_ij(pattern, budget=budget)
     except BudgetError:
-        return ScanRecord(pattern, False, var_count, None, None, True, False)
+        # the pattern's own verdict, None or a bool, asked for again: a memo
+        # hit, the same shortcut or the same search gives the same answer
+        return ScanRecord(pattern, fixed_point_verdict(pattern, budget=budget), var_count, budget_hit=True)
     pair = (found[0], found[1]) if found else None
-
-    if target == "theorem7":
-        if pair is None:
-            raise InconsistencyError(
-                f"no unambiguous pair-merging morphism for the non-fixed-point pattern {pattern}"
-            )
-        return ScanRecord(pattern, False, var_count, pair, None, False, False)
-
-    return ScanRecord(pattern, False, var_count, pair, None, False, pair is None)
+    if target == "theorem7" and pair is None:
+        raise InconsistencyError(
+            f"no unambiguous pair-merging morphism for the non-fixed-point pattern {pattern}"
+        )
+    # only conjecture2 gets here without a pair: theorem7 is proven
+    return ScanRecord(pattern, False, var_count, best_sigma_ij=pair, finding=pair is None)
 
 
 def _scan_scope(max_len: int, target: str) -> Iterator[Pattern]:

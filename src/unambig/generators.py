@@ -21,6 +21,8 @@ from .words import ALPHABET, Pattern, _canonical_sequences, canonical_symbols, i
 
 _THUE_RULES = {"a": "abc", "b": "ac", "c": "b"}
 
+MAX_DEBRUIJN_LENGTH = 1 << 22
+
 
 def thue_word(length: int) -> str:
     """Prefix of the square-free fixed point of a -> abc, b -> ac, c -> b."""
@@ -108,21 +110,24 @@ def debruijn_word(k: int, n: int) -> str:
         raise DomainError(f"alphabet size and order must be >= 1, got k={k}, n={n}")
     if k > len(ALPHABET):
         raise DomainError(f"alphabet size must be <= {len(ALPHABET)}, got {k}")
-    slots = [0] * (n + 1)
+    # k**min(n, 64) exceeds the bound exactly when k**n does, without
+    # computing a power with a huge exponent
+    if k ** min(n, 64) + n - 1 > MAX_DEBRUIJN_LENGTH:
+        raise ResourceError(
+            f"de Bruijn words support length k**n + n - 1 <= {MAX_DEBRUIJN_LENGTH}, got k={k}, n={n}"
+        )
+    # Duval's loop: the Lyndon words of length <= n in increasing order
     seq: list[int] = []
-
-    def extend(t: int, p: int) -> None:
-        if t > n:
-            if n % p == 0:
-                seq.extend(slots[1 : p + 1])
-            return
-        slots[t] = slots[t - p]
-        extend(t + 1, p)
-        for c in range(slots[t - p] + 1, k):
-            slots[t] = c
-            extend(t + 1, t)
-
-    extend(1, 1)
+    word = [-1]
+    while word:
+        word[-1] += 1
+        if n % len(word) == 0:
+            seq.extend(word)
+        period = len(word)
+        while len(word) < n:
+            word.append(word[-period])
+        while word and word[-1] == k - 1:
+            word.pop()
     cycle = "".join(ALPHABET[c] for c in seq)
     # Wrap around for the final n - 1 letters; only k = 1 needs repetition.
     return cycle + (cycle * n)[: n - 1]
@@ -149,7 +154,7 @@ def enumerate_debruijn(k: int, n: int) -> Iterator[str]:
             if edge not in used:
                 used.add(edge)
                 out.append(c)
-                yield from walk(node[1:] + (c,), used, out)
+                yield from walk(edge[1:], used, out)
                 out.pop()
                 used.remove(edge)
 

@@ -365,6 +365,17 @@ class TestGenerate:
         assert code == 3
         assert "resource limit" in err
 
+    def test_debruijn_long_single_letter_word(self, capsys):
+        code, out, _ = run_cli(capsys, "generate", "debruijn", "--k", "1", "--n", "5000")
+        assert code == 0
+        assert out == "a" * 5000 + "\n"
+
+    def test_debruijn_word_guard_is_exit_3_before_output(self, capsys):
+        code, out, err = run_cli(capsys, "generate", "debruijn", "--k", "2", "--n", "40")
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+
     def test_pi_db_streams_json_items(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "pi-db", "--k", "3")
         assert code == 0

@@ -4,8 +4,6 @@ import itertools
 import json
 
 import pytest
-from hypothesis import given, settings
-import hypothesis.strategies as st
 
 from unambig import explorer, solver
 from unambig.conditions import _pair_clauses, billaud_instance, image_is_fixed_point
@@ -465,26 +463,39 @@ def conjecture3_record(pattern, budget):
     return ScanRecord(pattern, alpha_fp, var_count, None, None, False, finding, billaud=report)
 
 
-# sha256 and record count of the conjecture_scan(8, target) JSONL, one
-# to_json() line per record, recorded before the fixed-point shortcuts; any
-# change to a record of these scans changes them.
+# sha256 and record count of the conjecture_scan(8, target, budget=budget)
+# JSONL, one to_json() line per record; the default-budget digests were
+# recorded before the fixed-point shortcuts.  At budget 60 every target has
+# budget hits of both kinds: an undecided pattern, and a decided one whose
+# search ran out.  Any change to a record of these scans changes them.
 SCAN_DIGESTS = {
-    "conjecture1": (3651, "d204f68315db0a8ff18960a44771dcc813d5cbc4d804703265614b32de9a78bc"),
-    "conjecture2": (3651, "472a67e1318b0598a323058ebdefacb3b8ad64a3a7742192c43b33ab847f6ca1"),
-    "conjecture3": (5040, "62dedd5407dd6485886a0d5418063184952b3458bc2c7ae9e2bf5cf6e7ac7736"),
-    "theorem7": (105, "6c4a9e4dfc64e6f8c892d811247edbdd600285e5040d0803ad63bf9caac0b546"),
+    ("conjecture1", DEFAULT_BUDGET): (3651, "d204f68315db0a8ff18960a44771dcc813d5cbc4d804703265614b32de9a78bc"),
+    ("conjecture2", DEFAULT_BUDGET): (3651, "472a67e1318b0598a323058ebdefacb3b8ad64a3a7742192c43b33ab847f6ca1"),
+    ("conjecture3", DEFAULT_BUDGET): (5040, "62dedd5407dd6485886a0d5418063184952b3458bc2c7ae9e2bf5cf6e7ac7736"),
+    ("theorem7", DEFAULT_BUDGET): (105, "6c4a9e4dfc64e6f8c892d811247edbdd600285e5040d0803ad63bf9caac0b546"),
+    ("conjecture1", 60): (3651, "51cda4fa32cca54f7837802f8f24703a5f2b720b7a9163dbd0bd3f16f6e66e8a"),
+    ("conjecture2", 60): (3651, "268628e4f7fb65862dd57c5743df1aa3f1d0e05f3af04d5af4058d1ad8e4a016"),
+    ("conjecture3", 60): (5040, "bd614ca783883a9ae78d3bf5041468fc86b37c4fd1f64c91feca31f57061c4eb"),
+    ("theorem7", 60): (105, "bd61b8682320a48858f6dc3c9b3686288d8c6f738bcb2305c17f835d1a03f323"),
+    ("conjecture1", 5): (3651, "6addce13eda8579f22d0a2338fe77422645181125d9d528cd98616f2d5c3094a"),
+    ("conjecture2", 5): (3651, "6addce13eda8579f22d0a2338fe77422645181125d9d528cd98616f2d5c3094a"),
+    ("conjecture3", 5): (5040, "05f2da1231d5d6e0c5782b1c6d5a3eb8ac8c2feff66f0b69a75b2b7ae37ffa99"),
+    ("theorem7", 5): (105, "8022d189782383fde3f95059c667f874569c99e59e42c059bc0834708e5de8ce"),
 }
 
 
 class TestConjectureScan:
-    @pytest.mark.parametrize("target", SCAN_TARGETS)
-    def test_scan_output_is_pinned(self, target):
+    @pytest.mark.parametrize(
+        "target,budget",
+        [pytest.param(t, b, id=t if b == DEFAULT_BUDGET else f"{t}-{b}") for t, b in SCAN_DIGESTS],
+    )
+    def test_scan_output_is_pinned(self, target, budget):
         digest = hashlib.sha256()
         records = 0
-        for record in conjecture_scan(8, target):
+        for record in conjecture_scan(8, target, budget=budget):
             digest.update((record.to_json() + "\n").encode())
             records += 1
-        assert (records, digest.hexdigest()) == SCAN_DIGESTS[target]
+        assert (records, digest.hexdigest()) == SCAN_DIGESTS[target, budget]
 
     def test_theorem7_smallest_length(self):
         records = list(conjecture_scan(8, "theorem7"))
@@ -560,11 +571,17 @@ class TestConjectureScan:
         parallel = list(conjecture_scan(8, "theorem7", workers=2))
         assert serial == parallel
 
-    @settings(max_examples=5, deadline=None)
-    @given(st.integers(4, 7))
-    def test_records_serialize_losslessly(self, max_len):
-        for record in conjecture_scan(max_len, "conjecture2"):
+    @pytest.mark.parametrize("budget", [60, DEFAULT_BUDGET])
+    @pytest.mark.parametrize("target", SCAN_TARGETS)
+    def test_records_serialize_losslessly(self, target, budget):
+        hits = set()
+        for record in conjecture_scan(8, target, budget=budget):
             assert ScanRecord.from_json(record.to_json()) == record
+            assert (record.billaud is not None) == (target == "conjecture3" and not record.budget_hit)
+            if record.budget_hit:
+                hits.add(record.is_fixed_point)
+        # both kinds of budget hit round-trip: undecided, and decided first
+        assert len(hits) == (2 if budget == 60 else 0)
 
 
 # A sweep of every length-12 pattern with at least 4 variables, each

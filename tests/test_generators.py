@@ -6,6 +6,7 @@ import pytest
 from unambig.conditions import has_unique_2_factors
 from unambig.errors import DomainError, ResourceError
 from unambig.generators import (
+    MAX_DEBRUIJN_LENGTH,
     DeBruijnPattern,
     debruijn_patterns,
     debruijn_word,
@@ -165,6 +166,23 @@ class TestDebruijnWord:
         assert len(counts) == k**n
         assert set(counts.values()) == {1}
 
+    @pytest.mark.parametrize("k,n", [(k, n) for k in range(1, 9) for n in range(1, 9) if k**n <= 64])
+    def test_is_the_first_word_enumerated(self, k, n):
+        assert debruijn_word(k, n) == next(enumerate_debruijn(k, n))
+
+    def test_order_beyond_the_recursion_limit(self):
+        assert debruijn_word(1, 5000) == "a" * 5000
+
+    def test_longest_binary_word_under_the_guard(self):
+        word = debruijn_word(2, 21)
+        assert len(word) == 2**21 + 20 <= MAX_DEBRUIJN_LENGTH
+        assert word.startswith("a" * 21 + "b") and word.endswith("a" + "b" * 21 + "a" * 20)
+
+    @pytest.mark.parametrize("k,n", [(2, 40), (2, 22), (1, MAX_DEBRUIJN_LENGTH + 1), (26, 10**9)])
+    def test_guard(self, k, n):
+        with pytest.raises(ResourceError, match="de Bruijn words support length"):
+            debruijn_word(k, n)
+
 
 class TestEnumerateDebruijn:
     def test_binary_order_two(self):
@@ -189,6 +207,10 @@ class TestEnumerateDebruijn:
 
     def test_single_letter(self):
         assert list(enumerate_debruijn(1, 2)) == ["aa"]
+
+    def test_order_one_is_every_permutation(self):
+        assert list(enumerate_debruijn(2, 1)) == ["ab", "ba"]
+        assert list(enumerate_debruijn(3, 1)) == ["".join(p) for p in itertools.permutations("abc")]
 
     def test_guard(self):
         with pytest.raises(ResourceError):
