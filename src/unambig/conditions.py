@@ -14,8 +14,14 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .errors import BudgetError, DomainError
-from .morphisms import erase_variable, merge_morphism
-from .solver import DEFAULT_BUDGET, _covers_search_tree, _validate_budget, fixed_point_verdict
+from .morphisms import merge_morphism
+from .solver import (
+    DEFAULT_BUDGET,
+    _covers_search_tree,
+    _key_verdict,
+    _validate_budget,
+    fixed_point_verdict,
+)
 from .words import (
     Pattern,
     factor_multiplicity,
@@ -140,30 +146,52 @@ class BillaudReport:
 def billaud_instance(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> BillaudReport:
     """Decide the pattern and each of its single-variable deletions.
 
+    The pattern is canonicalised once.  Deleting the variable with
+    canonical symbol r leaves a canonical key at once: every later symbol
+    moves down by one.  No deletion is built as a pattern, and none is
+    canonicalised again.
+
     A deletion is answered from the pattern's own multiplicities when that
     is exact: deleting v leaves every other multiplicity as it is and at
     least two variables, so the deletion has a variable occurring once, and
     is a fixed point, iff some u != v occurs once in the pattern.  That
     answer is taken only when the budget covers the deletion's whole search
     tree, where the search could not run out either; it leaves no memo
-    entry.  Every other deletion, and the pattern itself, goes through
-    :func:`fixed_point_verdict`.
+    entry.  Every other deletion, and the pattern itself, is decided as
+    :func:`fixed_point_verdict` decides it, from its canonical key.
     """
-    if len(pattern.variables) < 3:
+    # rank: each variable's canonical symbol, numbered from 1 by first
+    # occurrence; counts[r]: the occurrences of canonical symbol r
+    rank: dict[int, int] = {}
+    canonical: list[int] = []
+    counts = [0]
+    for s in pattern.symbols:
+        if s not in rank:
+            rank[s] = len(counts)
+            counts.append(0)
+        r = rank[s]
+        canonical.append(r)
+        counts[r] += 1
+    if len(rank) < 3:
         raise DomainError("the conjecture instance needs at least 3 distinct variables")
     _validate_budget(budget)
-    counts = pattern.multiplicities
-    singletons = sum(c == 1 for c in counts.values())
+    key = tuple(canonical)
+    n = len(key)
+    singletons = counts.count(1)
     delta_status: dict[int, bool] = {}
-    for var in sorted(pattern.variables):
-        if singletons > (counts[var] == 1) and _covers_search_tree(len(pattern) - counts[var], budget):
+    for var in sorted(rank):
+        r = rank[var]
+        # the deletion has a variable occurring once iff another one does
+        singleton = singletons > (counts[r] == 1)
+        if singleton and _covers_search_tree(n - counts[r], budget):
             delta_status[var] = True
             continue
-        verdict = fixed_point_verdict(erase_variable(pattern, var), budget=budget)
+        deleted = tuple([s if s < r else s - 1 for s in key if s != r])
+        verdict = _key_verdict(deleted, budget, singleton)
         if verdict is None:
             raise BudgetError(f"fixed-point check after deleting {var} exceeded {budget} nodes")
         delta_status[var] = verdict
-    alpha_fp = fixed_point_verdict(pattern, budget=budget)
+    alpha_fp = _key_verdict(key, budget, singletons > 0)
     if alpha_fp is None:
         raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
     hypothesis = all(delta_status.values())

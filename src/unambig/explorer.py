@@ -28,6 +28,9 @@ MAX_SCAN_LENGTH = 14
 
 SCAN_TARGETS = ("conjecture1", "conjecture2", "conjecture3", "theorem7")
 
+# JSON spellings of a record's flags and verdicts
+_JSON_LITERAL = {True: "true", False: "false", None: "null"}
+
 
 def search_sigma_ij(
     pattern: Pattern, *, budget: int = DEFAULT_BUDGET
@@ -209,23 +212,26 @@ class ScanRecord:
     billaud: BillaudReport | None = None
 
     def to_json(self) -> str:
-        record: dict = {
-            "pattern": str(self.pattern),
-            "is_fixed_point": self.is_fixed_point,
-            "var_count": self.var_count,
-            "best_sigma_ij": list(self.best_sigma_ij) if self.best_sigma_ij else None,
-            "best_uniform_k": self.best_uniform_k,
-            "budget_hit": self.budget_hit,
-            "finding": self.finding,
-        }
-        if self.billaud is not None:
-            record["billaud"] = {
-                "delta_fixed_point": {str(v): fp for v, fp in sorted(self.billaud.delta_fixed_point.items())},
-                "hypothesis_holds": self.billaud.hypothesis_holds,
-                "alpha_is_fixed_point": self.billaud.alpha_is_fixed_point,
-                "conjecture_instance_ok": self.billaud.conjecture_instance_ok,
-            }
-        return json.dumps(record)
+        """One JSON line, keys in field order: what ``json.dumps`` gives for
+        the record's dict, written out directly."""
+        pair = self.best_sigma_ij
+        k = self.best_uniform_k
+        line = (
+            f'{{"pattern": "{self.pattern}", "is_fixed_point": {_JSON_LITERAL[self.is_fixed_point]}, '
+            f'"var_count": {self.var_count}, "best_sigma_ij": {f"[{pair[0]}, {pair[1]}]" if pair else "null"}, '
+            f'"best_uniform_k": {"null" if k is None else k}, "budget_hit": {_JSON_LITERAL[self.budget_hit]}, '
+            f'"finding": {_JSON_LITERAL[self.finding]}'
+        )
+        report = self.billaud
+        if report is None:
+            return line + "}"
+        delta = ", ".join(f'"{v}": {_JSON_LITERAL[fp]}' for v, fp in sorted(report.delta_fixed_point.items()))
+        return (
+            f'{line}, "billaud": {{"delta_fixed_point": {{{delta}}}, '
+            f'"hypothesis_holds": {_JSON_LITERAL[report.hypothesis_holds]}, '
+            f'"alpha_is_fixed_point": {_JSON_LITERAL[report.alpha_is_fixed_point]}, '
+            f'"conjecture_instance_ok": {_JSON_LITERAL[report.conjecture_instance_ok]}}}}}'
+        )
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":

@@ -99,13 +99,9 @@ def shortest_non_fixed_point(n: int) -> tuple[Pattern, Morphism]:
     return Pattern(tuple(symbols)), sigma
 
 
-def debruijn_word(k: int, n: int) -> str:
-    """The lexicographically least word containing every length-n word over
-    the first k letters exactly once.
-
-    Concatenates the Lyndon words of length dividing n in increasing order
-    (the least de Bruijn cycle) and appends the first n - 1 letters.
-    """
+def _check_debruijn(k: int, n: int) -> None:
+    """Reject the order n and alphabet size k unless a de Bruijn word for
+    them is defined and at most MAX_DEBRUIJN_LENGTH letters long."""
     if k < 1 or n < 1:
         raise DomainError(f"alphabet size and order must be >= 1, got k={k}, n={n}")
     if k > len(ALPHABET):
@@ -116,6 +112,16 @@ def debruijn_word(k: int, n: int) -> str:
         raise ResourceError(
             f"de Bruijn words support length k**n + n - 1 <= {MAX_DEBRUIJN_LENGTH}, got k={k}, n={n}"
         )
+
+
+def debruijn_word(k: int, n: int) -> str:
+    """The lexicographically least word containing every length-n word over
+    the first k letters exactly once.
+
+    Concatenates the Lyndon words of length dividing n in increasing order
+    (the least de Bruijn cycle) and appends the first n - 1 letters.
+    """
+    _check_debruijn(k, n)
     # Duval's loop: the Lyndon words of length <= n in increasing order
     seq: list[int] = []
     word = [-1]
@@ -136,10 +142,7 @@ def debruijn_word(k: int, n: int) -> str:
 def enumerate_debruijn(k: int, n: int) -> Iterator[str]:
     """All words containing every length-n word over k letters exactly once,
     in lexicographic order, via walks using each length-n factor once."""
-    if k < 1 or n < 1:
-        raise DomainError(f"alphabet size and order must be >= 1, got k={k}, n={n}")
-    if k > len(ALPHABET):
-        raise DomainError(f"alphabet size must be <= {len(ALPHABET)}, got {k}")
+    _check_debruijn(k, n)
     total = k**n
     if total > 64:
         raise ResourceError(f"enumeration supports k**n <= 64 length-n words, got {total}")

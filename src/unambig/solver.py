@@ -407,6 +407,12 @@ def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bo
     if not key:
         raise DomainError("the pattern must be non-empty")
     _validate_budget(budget)
+    return _key_verdict(key, budget, 1 in pattern.multiplicities.values())
+
+
+def _key_verdict(key: tuple[int, ...], budget: int, singleton: bool) -> bool | None:
+    """:func:`fixed_point_verdict` of a non-empty canonical key, for a valid
+    budget; ``singleton`` tells whether some variable occurs once in it."""
     entry = _FP_CACHE.get(key)
     if entry is not None and entry[1] <= budget:
         return entry[0] is not None
@@ -414,13 +420,13 @@ def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bo
     if _covers_search_tree(n, budget):
         # phi(x) = pattern for the variable x occurring once, phi(y) empty
         # for every other y
-        if n >= 2 and 1 in pattern.multiplicities.values():
+        if n >= 2 and singleton:
             return True
         # phi(alpha) = alpha iff the mirrored phi fixes alpha reversed
         mirrored = _FP_CACHE.get(canonical_symbols(key[::-1]))
         if mirrored is not None:
             return mirrored[0] is not None
-        if fixed_point_by_neighbourhoods(pattern) is not None:
+        if fixed_point_by_neighbourhoods(Pattern(key)) is not None:
             return True
     entry = _fixed_point_search(key, budget)
     if isinstance(entry, BudgetExhausted):

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import shlex
@@ -7,12 +8,14 @@ import sys
 import pytest
 
 import unambig
-from unambig import checks, cli, explorer
+from unambig import checks, cli, explorer, generators
 from unambig.errors import InconsistencyError
 from unambig.explorer import SCAN_TARGETS, ScanRecord
 from unambig.morphisms import Morphism, Substitution
-from unambig.solver import BudgetExhausted, Witness
+from unambig.solver import DEFAULT_BUDGET, BudgetExhausted, Witness
 from unambig.words import Pattern, parse_pattern
+
+from test_explorer import SCAN_DIGESTS
 
 A0 = "1 2 3 1 3 2"
 A1 = "1 2 3 4 1 4 3 2"
@@ -376,6 +379,16 @@ class TestGenerate:
         assert out == ""
         assert "resource limit" in err
 
+    def test_single_letter_enumeration_guard_is_exit_3_before_output(self, capsys, monkeypatch):
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(generators, "product", no_walk)
+        code, out, err = run_cli(capsys, "generate", "debruijn", "--k", "1", "--n", "100000000", "--enumerate")
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+
     def test_pi_db_streams_json_items(self, capsys):
         code, out, _ = run_cli(capsys, "generate", "pi-db", "--k", "3")
         assert code == 0
@@ -419,6 +432,15 @@ class TestScan:
         for line in lines:
             record = ScanRecord.from_json(line)
             assert record.var_count == 4
+
+    def test_conjecture3_output_file_is_pinned(self, capsys, tmp_path):
+        # the bytes cli.main writes, not only what to_json returns
+        out_file = tmp_path / "c3.jsonl"
+        code, out, _ = run_cli(capsys, "scan", "--target", "conjecture3", "--max-len", "8", "--out", str(out_file))
+        data = out_file.read_bytes()
+        assert code == 0
+        assert out == "records: 5040\nfindings: 0\nbudget-hits: 0\n"
+        assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET]
 
     def test_worker_count_does_not_change_output(self, capsys, tmp_path):
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"

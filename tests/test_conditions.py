@@ -292,6 +292,37 @@ class TestBillaudInstance:
             assert sweeps[1][0] == sweeps[0][0], budget
             assert sweeps[1][1] == sweeps[0][1], budget
 
+    @pytest.mark.parametrize("budget", [1, 5, 60, DEFAULT_BUDGET])
+    def test_renamed_input_gives_the_relabelled_report(self, monkeypatch, budget):
+        # v -> 7 * (5v mod 11) is injective on 1..10, non-contiguous and out
+        # of order, so sorted variables differ from first-occurrence order
+        patterns = [p for length in range(3, 9) for p in enumerate_canonical_patterns(length, min_vars=3)]
+        renamed = [Pattern(tuple(7 * (5 * s % 11) for s in p.symbols)) for p in patterns]
+        sweeps = []
+        for instance, sweep in (
+            (reference_billaud_instance, renamed),
+            (billaud_instance, renamed),
+            (billaud_instance, patterns),
+        ):
+            monkeypatch.setattr(solver, "_FP_CACHE", {})
+            sweeps.append([billaud_outcome(instance, p, budget) for p in sweep])
+        expected, got, canonical = sweeps
+        for pattern, want, report, own in zip(renamed, expected, got, canonical):
+            # the same report, or the same BudgetError text, naming the
+            # renamed variable
+            assert report == want, pattern
+            if isinstance(report, str):
+                continue
+            assert list(report.delta_fixed_point) == sorted(pattern.variables)
+            relabelled = {7 * (5 * v % 11): fp for v, fp in own.delta_fixed_point.items()}
+            assert report == BillaudReport(
+                relabelled, own.hypothesis_holds, own.alpha_is_fixed_point, own.conjecture_instance_ok
+            )
+        if budget == DEFAULT_BUDGET:
+            assert not any(isinstance(outcome, str) for outcome in got)
+        else:
+            assert any(isinstance(outcome, str) for outcome in got)
+
     @pytest.mark.parametrize("budget", [0, -3, 1e9, None])
     def test_bad_budget_is_rejected_before_any_shortcut(self, budget):
         pattern = parse_pattern("1 2 3 1 2")

@@ -6,7 +6,7 @@ import json
 import pytest
 
 from unambig import explorer, solver
-from unambig.conditions import _pair_clauses, billaud_instance, image_is_fixed_point
+from unambig.conditions import BillaudReport, _pair_clauses, billaud_instance, image_is_fixed_point
 from unambig.errors import BudgetError, DomainError, ResourceError
 from unambig.explorer import (
     SCAN_TARGETS,
@@ -429,7 +429,61 @@ class TestCheckEnumeration:
         check_enumeration(16, min_vars=1)
 
 
+def reference_json(record):
+    """The serializer ScanRecord.to_json replaced: the record's dict, keys in
+    field order, through json.dumps."""
+    data = {
+        "pattern": str(record.pattern),
+        "is_fixed_point": record.is_fixed_point,
+        "var_count": record.var_count,
+        "best_sigma_ij": list(record.best_sigma_ij) if record.best_sigma_ij else None,
+        "best_uniform_k": record.best_uniform_k,
+        "budget_hit": record.budget_hit,
+        "finding": record.finding,
+    }
+    if record.billaud is not None:
+        data["billaud"] = {
+            "delta_fixed_point": {str(v): fp for v, fp in sorted(record.billaud.delta_fixed_point.items())},
+            "hypothesis_holds": record.billaud.hypothesis_holds,
+            "alpha_is_fixed_point": record.billaud.alpha_is_fixed_point,
+            "conjecture_instance_ok": record.billaud.conjecture_instance_ok,
+        }
+    return json.dumps(data)
+
+
+# one record of each field shape: no verdict, a pair, a least alphabet, a
+# budget hit, and a Billaud report present or absent
+HAND_BUILT_RECORDS = [
+    ScanRecord(A0, None, 3, budget_hit=True),
+    ScanRecord(A1, False, 4, best_sigma_ij=(1, 2)),
+    ScanRecord(A1, False, 4, best_sigma_ij=(12, 3)),
+    ScanRecord(A1, False, 4, best_uniform_k=3),
+    ScanRecord(A1, False, 4, best_uniform_k=None, finding=True),
+    ScanRecord(A1, True, 4, budget_hit=True),
+    ScanRecord(A1, True, 4),
+    ScanRecord(A0, False, 3, billaud=BillaudReport({1: False, 2: True, 3: True}, False, False, True)),
+    ScanRecord(
+        parse_pattern("12 3 10 12 10 3"),
+        False,
+        3,
+        finding=True,
+        billaud=BillaudReport({12: True, 3: True, 10: True}, True, False, False),
+    ),
+]
+
+
 class TestScanRecord:
+    @pytest.mark.parametrize("record", HAND_BUILT_RECORDS)
+    def test_writer_matches_json_dumps_on_every_field_shape(self, record):
+        assert record.to_json() == reference_json(record)
+        assert ScanRecord.from_json(record.to_json()) == record
+
+    @pytest.mark.parametrize("budget", [5, 60, DEFAULT_BUDGET])
+    @pytest.mark.parametrize("target", SCAN_TARGETS)
+    def test_writer_matches_json_dumps_on_every_scan_record(self, target, budget):
+        for record in conjecture_scan(8, target, budget=budget):
+            assert record.to_json() == reference_json(record)
+
     def test_json_round_trip(self):
         record = ScanRecord(
             pattern=A1,

@@ -3,6 +3,7 @@ import itertools
 
 import pytest
 
+from unambig import generators
 from unambig.conditions import has_unique_2_factors
 from unambig.errors import DomainError, ResourceError
 from unambig.generators import (
@@ -217,6 +218,20 @@ class TestEnumerateDebruijn:
             list(enumerate_debruijn(3, 4))
         with pytest.raises(ResourceError):
             list(enumerate_debruijn(2, 7))
+
+    def test_long_single_letter_order_under_the_length_guard(self):
+        assert list(enumerate_debruijn(1, 5000)) == ["a" * 5000]
+
+    @pytest.mark.parametrize("k,n", [(1, MAX_DEBRUIJN_LENGTH + 1), (1, 10**8), (2, 40), (26, 10**9)])
+    def test_length_guard_fires_before_the_walk_starts(self, monkeypatch, k, n):
+        # at k = 1 the 64-word guard always passes; the walk's start tuple
+        # would hold n - 1 letters
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the walk started")
+
+        monkeypatch.setattr(generators, "product", no_walk)
+        with pytest.raises(ResourceError, match="de Bruijn words support length"):
+            next(enumerate_debruijn(k, n))
 
 
 class TestDebruijnPatterns:
