@@ -154,11 +154,13 @@ def billaud_instance(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> Billa
     A deletion is answered from the pattern's own multiplicities when that
     is exact: deleting v leaves every other multiplicity as it is and at
     least two variables, so the deletion has a variable occurring once, and
-    is a fixed point, iff some u != v occurs once in the pattern.  That
-    answer is taken only when the budget covers the deletion's whole search
-    tree, where the search could not run out either; it leaves no memo
-    entry.  Every other deletion, and the pattern itself, is decided as
-    :func:`fixed_point_verdict` decides it, from its canonical key.
+    is a fixed point, iff some u != v occurs once in the pattern.  The
+    pattern itself is answered the same way when one of its variables
+    occurs once.  Such an answer is taken only when the budget covers the
+    whole search tree, where the search could not run out either; it
+    leaves no memo entry.  Every other deletion, and the pattern itself, is
+    decided as :func:`fixed_point_verdict` decides it, from its canonical
+    key.
     """
     # rank: each variable's canonical symbol, numbered from 1 by first
     # occurrence; counts[r]: the occurrences of canonical symbol r
@@ -187,11 +189,14 @@ def billaud_instance(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> Billa
             delta_status[var] = True
             continue
         deleted = tuple([s if s < r else s - 1 for s in key if s != r])
-        verdict = _key_verdict(deleted, budget, singleton)
+        verdict = _key_verdict(deleted, budget)
         if verdict is None:
             raise BudgetError(f"fixed-point check after deleting {var} exceeded {budget} nodes")
         delta_status[var] = verdict
-    alpha_fp = _key_verdict(key, budget, singletons > 0)
+    if singletons and _covers_search_tree(n, budget):
+        alpha_fp = True
+    else:
+        alpha_fp = _key_verdict(key, budget)
     if alpha_fp is None:
         raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
     hypothesis = all(delta_status.values())

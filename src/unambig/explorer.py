@@ -20,8 +20,8 @@ from typing import Iterator
 from .conditions import BillaudReport, _pair_clauses, billaud_instance
 from .errors import BudgetError, DomainError, InconsistencyError, ResourceError
 from .morphisms import Morphism, merge_morphism
-from .solver import DEFAULT_BUDGET, BudgetExhausted, NoWitness, fixed_point_verdict, is_ambiguous
-from .words import ALPHABET, Pattern, _canonical_sequences, first_occurrence_order, parse_pattern
+from .solver import DEFAULT_BUDGET, _ambiguity_verdict, _key_verdict, _validate_budget, fixed_point_verdict
+from .words import ALPHABET, Pattern, _canonical_sequences, parse_pattern
 
 MAX_ENUMERATION_LENGTH = 16
 MAX_SCAN_LENGTH = 14
@@ -44,30 +44,50 @@ def search_sigma_ij(
     otherwise decided by the solver.  A solver verdict is reused for the
     mirrored pair, whose merged image is the same word up to renaming.
     """
-    variables = sorted(pattern.variables)
-    if len(variables) < 2:
+    if len(pattern.variables) < 2:
         raise DomainError("the pattern needs at least 2 distinct variables")
-    own = fixed_point_verdict(pattern, budget=budget)
+    found = _sigma_ij_pair(pattern, fixed_point_verdict(pattern, budget=budget), budget)
+    if found is None:
+        return None
+    i, j = found
+    return (i, j, merge_morphism(pattern.variables, i, j))
+
+
+def _sigma_ij_pair(pattern: Pattern, own: bool | None, budget: int) -> tuple[int, int] | None:
+    """The pair of :func:`search_sigma_ij`, given the pattern's own
+    fixed-point verdict ``own``, with no morphism built.
+
+    Each pair's merged image is the pattern spelt with one letter per
+    variable, by rank as :func:`merge_morphism` assigns them, with j's
+    letter replaced by i's; the solver gives only its verdict.
+    """
     if own is None:
         raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
     if own:
         return None
+    variables = sorted(pattern.variables)
+    if len(variables) > len(ALPHABET):
+        # what merge_morphism raises at the first pair
+        raise DomainError(f"alphabet too small: construction needs {len(variables)} letters")
+    symbols = pattern.symbols
+    letters = {var: ALPHABET[rank] for rank, var in enumerate(variables)}
+    spelt = "".join([letters[s] for s in symbols])
     settled: set[tuple[int, int]] = set()
     clauses = None  # the pair condition, built at the first pair that needs it
     for i in variables:
         for j in variables:
             if i == j or (j, i) in settled:
                 continue
-            sigma = merge_morphism(variables, i, j)
             if clauses is None:
                 clauses = _pair_clauses(pattern)
             if clauses(i, j)[-1]:
-                return (i, j, sigma)
-            verdict = is_ambiguous(sigma, pattern, budget=budget)
-            if isinstance(verdict, BudgetExhausted):
+                return (i, j)
+            merged = spelt.replace(letters[j], letters[i])
+            verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget)
+            if verdict is None:
                 raise BudgetError(f"solver run for the pair ({i}, {j}) exceeded {budget} nodes")
-            if isinstance(verdict, NoWitness):
-                return (i, j, sigma)
+            if not verdict:
+                return (i, j)
             settled.add((i, j))
     return None
 
@@ -106,25 +126,27 @@ def search_1uniform(
     if fixed_point_verdict(pattern, budget=budget):
         return None
     colorings = _canonical_sequences(len(pattern.variables), max_vars=alphabet_size)
-    return _first_unambiguous(pattern, colorings, budget)
+    images = _first_unambiguous(pattern.symbols, colorings, budget)
+    return None if images is None else Morphism.of(images)
 
 
 def _first_unambiguous(
-    pattern: Pattern, colorings: Iterator[tuple[int, ...]], budget: int
-) -> Morphism | None:
-    """The 1-uniform morphism of the first coloring, in the given order, that
-    is unambiguous with respect to the pattern, or None.  Colorings are
-    canonical sequences: the i-th symbol is the letter number, from 1, of the
-    i-th variable in first-occurrence order."""
-    ordered = first_occurrence_order(pattern)
+    symbols: tuple[int, ...], colorings: Iterator[tuple[int, ...]], budget: int
+) -> dict[int, str] | None:
+    """The images of the first coloring, in the given order, whose 1-uniform
+    morphism is unambiguous with respect to the symbols, or None.  Colorings
+    are canonical sequences: the i-th symbol is the letter number, from 1, of
+    the i-th variable in first-occurrence order.  The image word is spelt
+    from the images, and the solver gives only its verdict."""
+    ordered = tuple(dict.fromkeys(symbols))
     for coloring in colorings:
-        sigma = Morphism.of({var: ALPHABET[c - 1] for var, c in zip(ordered, coloring)})
-        verdict = is_ambiguous(sigma, pattern, budget=budget)
-        if isinstance(verdict, BudgetExhausted):
+        images = dict(zip(ordered, [ALPHABET[c - 1] for c in coloring]))
+        verdict = _ambiguity_verdict(symbols, "".join([images[s] for s in symbols]), images, budget)
+        if verdict is None:
             shown = tuple(c - 1 for c in coloring)
             raise BudgetError(f"solver run for coloring {shown} exceeded {budget} nodes")
-        if isinstance(verdict, NoWitness):
-            return sigma
+        if not verdict:
+            return images
     return None
 
 
@@ -140,14 +162,26 @@ def least_uniform_alphabet(pattern: Pattern, max_k: int, *, budget: int = DEFAUL
     ambiguous at a smaller size.
     """
     top = min(max_k, len(ALPHABET))
-    if top >= 1 and not fixed_point_verdict(pattern, budget=budget):
-        items = len(pattern.variables)
-        for k in range(1, top + 1):
-            exact = _canonical_sequences(items, min_vars=k, max_vars=k)
-            if _first_unambiguous(pattern, exact, budget) is not None:
-                return k
+    if top >= 1:
+        k = _least_alphabet(pattern.symbols, fixed_point_verdict(pattern, budget=budget), top, budget)
+        if k is not None:
+            return k
     if max_k > len(ALPHABET):
         raise DomainError(f"alphabet size must be between 1 and {len(ALPHABET)}, got {len(ALPHABET) + 1}")
+    return None
+
+
+def _least_alphabet(symbols: tuple[int, ...], own: bool | None, top: int, budget: int) -> int | None:
+    """:func:`least_uniform_alphabet` for sizes up to ``top`` <= 26, given
+    the pattern's own fixed-point verdict ``own``; a verdict that ran out of
+    budget sweeps the colorings as a non-fixed point does."""
+    if own:
+        return None
+    items = len(set(symbols))
+    for k in range(1, top + 1):
+        exact = _canonical_sequences(items, min_vars=k, max_vars=k)
+        if _first_unambiguous(symbols, exact, budget) is not None:
+            return k
     return None
 
 
@@ -246,8 +280,12 @@ class ScanRecord:
         return cls(**data)
 
 
-def _scan_pattern(pattern: Pattern, target: str, budget: int) -> ScanRecord:
-    var_count = len(pattern.variables)
+def _scan_pattern(key: tuple[int, ...], target: str, budget: int) -> ScanRecord:
+    """The record of one canonical key.  The record's Pattern is the only
+    one built; the fixed-point verdict is asked for by key, and the searches
+    give a pair or an alphabet size, never a morphism."""
+    pattern = Pattern(key)
+    var_count = max(key)
     try:
         if target == "conjecture3":
             # billaud_instance decides the pattern itself too
@@ -259,7 +297,7 @@ def _scan_pattern(pattern: Pattern, target: str, budget: int) -> ScanRecord:
                 finding=not report.conjecture_instance_ok,
                 billaud=report,
             )
-        alpha_fp = fixed_point_verdict(pattern, budget=budget)
+        alpha_fp = _key_verdict(key, budget)
         if alpha_fp is None:
             raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
         if alpha_fp:
@@ -267,14 +305,13 @@ def _scan_pattern(pattern: Pattern, target: str, budget: int) -> ScanRecord:
             # is nothing to search and nothing to flag
             return ScanRecord(pattern, True, var_count)
         if target == "conjecture1":
-            k = least_uniform_alphabet(pattern, var_count - 1, budget=budget)
+            k = _least_alphabet(key, alpha_fp, var_count - 1, budget)
             return ScanRecord(pattern, False, var_count, best_uniform_k=k, finding=k is None)
-        found = search_sigma_ij(pattern, budget=budget)
+        pair = _sigma_ij_pair(pattern, alpha_fp, budget)
     except BudgetError:
         # the pattern's own verdict, None or a bool, asked for again: a memo
         # hit, the same shortcut or the same search gives the same answer
-        return ScanRecord(pattern, fixed_point_verdict(pattern, budget=budget), var_count, budget_hit=True)
-    pair = (found[0], found[1]) if found else None
+        return ScanRecord(pattern, _key_verdict(key, budget), var_count, budget_hit=True)
     if target == "theorem7" and pair is None:
         raise InconsistencyError(
             f"no unambiguous pair-merging morphism for the non-fixed-point pattern {pattern}"
@@ -283,14 +320,15 @@ def _scan_pattern(pattern: Pattern, target: str, budget: int) -> ScanRecord:
     return ScanRecord(pattern, False, var_count, best_sigma_ij=pair, finding=pair is None)
 
 
-def _scan_scope(max_len: int, target: str) -> Iterator[Pattern]:
+def _scan_scope(max_len: int, target: str) -> Iterator[tuple[int, ...]]:
+    """The canonical keys of the target's scope, as the enumerator gives them."""
     if target == "theorem7":
         for length in range(8, max_len + 1, 2):
-            yield from enumerate_canonical_patterns(length, min_vars=4, uniform_multiplicity=2)
+            yield from _canonical_sequences(length, min_vars=4, min_occ=2, max_occ=2)
         return
     min_vars = 3 if target == "conjecture3" else 4
     for length in range(min_vars, max_len + 1):
-        yield from enumerate_canonical_patterns(length, min_vars=min_vars)
+        yield from _canonical_sequences(length, min_vars=min_vars)
 
 
 def conjecture_scan(
@@ -309,6 +347,7 @@ def conjecture_scan(
         raise DomainError(f"unknown scan target {target!r}; expected one of {', '.join(SCAN_TARGETS)}")
     if max_len > MAX_SCAN_LENGTH:
         raise ResourceError(f"scans support max_len <= {MAX_SCAN_LENGTH}, got {max_len}")
+    _validate_budget(budget)
     if workers < 1:
         raise DomainError(f"workers must be >= 1, got {workers}")
     cpus = os.cpu_count() or 1
@@ -319,13 +358,13 @@ def conjecture_scan(
 
 
 def _scan_records(
-    patterns: Iterator[Pattern], target: str, budget: int, workers: int
+    keys: Iterator[tuple[int, ...]], target: str, budget: int, workers: int
 ) -> Iterator[ScanRecord]:
     if workers == 1:
-        for pattern in patterns:
-            yield _scan_pattern(pattern, target, budget)
+        for key in keys:
+            yield _scan_pattern(key, target, budget)
         return
     job = partial(_scan_pattern, target=target, budget=budget)
     with Pool(workers) as pool:
-        yield from pool.imap(job, patterns, chunksize=64)
+        yield from pool.imap(job, keys, chunksize=64)
 

@@ -256,10 +256,7 @@ def find_alternative(
         for assignment in _iter_assignments(pattern.symbols, word, min_len, counter, budget):
             differing = None
             if excluded is not None:
-                for var in sorted(assignment):
-                    if assignment[var] != excluded[var]:
-                        differing = var
-                        break
+                differing = _differing_variable(assignment, excluded)
                 if differing is None:
                     continue
             return Witness(
@@ -270,6 +267,30 @@ def find_alternative(
     except _BudgetHit:
         return BudgetExhausted(nodes_explored=counter[0])
     return NoWitness(nodes_explored=counter[0])
+
+
+def _differing_variable(assignment: dict, images) -> int | None:
+    """The least variable whose image in the assignment differs from its
+    image under ``images``, or None when the two agree."""
+    for var in sorted(assignment):
+        if assignment[var] != images[var]:
+            return var
+    return None
+
+
+def _ambiguity_verdict(symbols: tuple[int, ...], word: str, images: dict, budget: int) -> bool | None:
+    """Whether some assignment other than ``images`` maps the symbols onto
+    ``word``, or None when the budget runs out first: the verdict of
+    :func:`find_alternative` with ``images`` excluded and erasing allowed,
+    for a word that ``images`` produces, with no witness built."""
+    counter = [0]
+    try:
+        for assignment in _iter_assignments(symbols, word, 0, counter, budget):
+            if _differing_variable(assignment, images) is not None:
+                return True
+    except _BudgetHit:
+        return None
+    return False
 
 
 def is_ambiguous(
@@ -407,20 +428,22 @@ def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bo
     if not key:
         raise DomainError("the pattern must be non-empty")
     _validate_budget(budget)
-    return _key_verdict(key, budget, 1 in pattern.multiplicities.values())
+    return _key_verdict(key, budget)
 
 
-def _key_verdict(key: tuple[int, ...], budget: int, singleton: bool) -> bool | None:
+def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     """:func:`fixed_point_verdict` of a non-empty canonical key, for a valid
-    budget; ``singleton`` tells whether some variable occurs once in it."""
+    budget.  A memo hit costs one lookup: nothing is computed before it."""
     entry = _FP_CACHE.get(key)
     if entry is not None and entry[1] <= budget:
         return entry[0] is not None
     n = len(key)
     if _covers_search_tree(n, budget):
         # phi(x) = pattern for the variable x occurring once, phi(y) empty
-        # for every other y
-        if n >= 2 and singleton:
+        # for every other y.  More than n / 2 variables cannot all occur
+        # twice, so only fewer need counting.
+        distinct = set(key)
+        if n >= 2 and (2 * len(distinct) > n or 1 in map(key.count, distinct)):
             return True
         # phi(alpha) = alpha iff the mirrored phi fixes alpha reversed
         mirrored = _FP_CACHE.get(canonical_symbols(key[::-1]))

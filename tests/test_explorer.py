@@ -142,6 +142,48 @@ def sigma_ij_outcomes(search, length):
     return outcomes
 
 
+def search_outcome(search, *args, **kwargs):
+    """The search's answer in plain values, or its error text."""
+    try:
+        found = search(*args, **kwargs)
+    except (BudgetError, DomainError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    if isinstance(found, tuple):
+        return (found[0], found[1], str(found[2]))
+    return found if found is None or isinstance(found, int) else str(found)
+
+
+def golden_explorer_outcomes():
+    """Every per-pattern search on every canonical pattern of length <= 7 and
+    on its copy renamed by v -> 100 - v, whose sorted variable order is the
+    reverse of its first-occurrence order, at the default budget and at 7."""
+    for length in range(1, 8):
+        for pattern in enumerate_canonical_patterns(length):
+            renamed = Pattern(tuple(100 - v for v in pattern.symbols))
+            v = len(pattern.variables)
+            for p in (pattern, renamed):
+                for budget in (DEFAULT_BUDGET, 7):
+                    yield search_outcome(search_sigma_ij, p, budget=budget)
+                    for k in range(1, v + 1):
+                        yield search_outcome(search_1uniform, p, k, budget=budget)
+                    for max_k in (v, 27):
+                        yield search_outcome(least_uniform_alphabet, p, max_k, budget=budget)
+
+
+# sha256 of golden_explorer_outcomes(), one repr per line, recorded while
+# search_sigma_ij, search_1uniform and least_uniform_alphabet still built a
+# Morphism per candidate and asked is_ambiguous: any change to an answer, a
+# morphism, an order or an error text changes it.
+EXPLORER_DIGEST = "39f77119f030007b6b938edc64b3260514b1957620eae39eab06958d79e3af42"
+
+
+def test_golden_explorer_digest():
+    digest = hashlib.sha256()
+    for outcome in golden_explorer_outcomes():
+        digest.update(repr(outcome).encode() + b"\n")
+    assert digest.hexdigest() == EXPLORER_DIGEST
+
+
 class TestSearchSigmaIj:
     @pytest.mark.parametrize("length", range(2, 8))
     def test_same_answers_as_with_the_merged_image_filter(self, monkeypatch, length):
@@ -538,18 +580,41 @@ SCAN_DIGESTS = {
 }
 
 
+def scan_digest(max_len, target, budget):
+    """Record count and sha256 of the scan's JSONL, one to_json() line per
+    record."""
+    digest = hashlib.sha256()
+    records = 0
+    for record in conjecture_scan(max_len, target, budget=budget):
+        digest.update((record.to_json() + "\n").encode())
+        records += 1
+    return records, digest.hexdigest()
+
+
+# (records, sha256) of the conjecture_scan(max_len, target) JSONL at the
+# default budget, recorded before the scan moved onto canonical keys: the
+# cmp gate of every scan change, at lengths past SCAN_DIGESTS.
+LONGER_SCAN_DIGESTS = {
+    ("conjecture1", 9): (21517, "fb19c280a807583c3bb706df1e43cae718b549ca7d57a519196f9d95b1321902"),
+    ("conjecture2", 9): (21517, "4a01648f78165651035384c64216515503905711dc3713aa6d498ff78439c349"),
+    ("conjecture3", 9): (25931, "45f738572bb5823ae316fccd64a48619f0590cb27897505cfdabdc0c077ecd9b"),
+    ("theorem7", 10): (1050, "deea79de44617cbf012efe4e0d88805de30e4695f0a5e8737ad447af8c36ff39"),
+}
+
+
 class TestConjectureScan:
     @pytest.mark.parametrize(
         "target,budget",
         [pytest.param(t, b, id=t if b == DEFAULT_BUDGET else f"{t}-{b}") for t, b in SCAN_DIGESTS],
     )
     def test_scan_output_is_pinned(self, target, budget):
-        digest = hashlib.sha256()
-        records = 0
-        for record in conjecture_scan(8, target, budget=budget):
-            digest.update((record.to_json() + "\n").encode())
-            records += 1
-        assert (records, digest.hexdigest()) == SCAN_DIGESTS[target, budget]
+        assert scan_digest(8, target, budget) == SCAN_DIGESTS[target, budget]
+
+    @pytest.mark.parametrize(
+        "target,max_len", [pytest.param(t, m, id=f"{t}-{m}") for t, m in LONGER_SCAN_DIGESTS]
+    )
+    def test_longer_scan_output_is_pinned(self, target, max_len):
+        assert scan_digest(max_len, target, DEFAULT_BUDGET) == LONGER_SCAN_DIGESTS[target, max_len]
 
     def test_theorem7_smallest_length(self):
         records = list(conjecture_scan(8, "theorem7"))
@@ -649,7 +714,7 @@ LENGTH_12_FINDINGS = ["1 2 1 3 1 4 4 1 3 1 2 1", "1 2 3 2 4 2 2 4 2 3 2 1"]
 class TestLengthTwelveFindings:
     @pytest.mark.parametrize("target", ["conjecture1", "conjecture2"])
     def test_scan_record(self, text, target):
-        assert _scan_pattern(parse_pattern(text), target, DEFAULT_BUDGET).to_json() == (
+        assert _scan_pattern(parse_pattern(text).symbols, target, DEFAULT_BUDGET).to_json() == (
             f'{{"pattern": "{text}", "is_fixed_point": false, "var_count": 4, "best_sigma_ij": null, '
             '"best_uniform_k": null, "budget_hit": false, "finding": true}'
         )

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 from functools import lru_cache
 from math import comb, inf
 
@@ -11,6 +12,7 @@ from unambig import solver
 from unambig.conditions import billaud_instance, image_is_fixed_point
 from unambig.explorer import (
     SCAN_TARGETS,
+    canonical_colorings,
     conjecture_scan,
     enumerate_canonical_patterns,
     search_1uniform,
@@ -30,7 +32,14 @@ from unambig.solver import (
     is_ambiguous,
     is_fixed_point,
 )
-from unambig.words import Pattern, canonical_form, fixed_point_by_neighbourhoods, parse_pattern
+from unambig.words import (
+    ALPHABET,
+    Pattern,
+    canonical_form,
+    first_occurrence_order,
+    fixed_point_by_neighbourhoods,
+    parse_pattern,
+)
 
 from conftest import (
     naive_canonical_patterns,
@@ -213,8 +222,8 @@ class TestFixedPointVerdict:
                         assert verdict == isinstance(full, FixedPoint)
 
     def test_bool_callers_build_no_witness(self, monkeypatch):
-        def no_witness(*args):
-            raise AssertionError("a bool-only caller built a fixed-point witness")
+        def no_witness(*args, **kwargs):
+            raise AssertionError("a bool-only caller built a witness or a morphism")
 
         monkeypatch.setattr(solver, "_fp_result", no_witness)
         monkeypatch.setattr(solver, "_FP_CACHE", {})
@@ -228,9 +237,47 @@ class TestFixedPointVerdict:
         assert search_1uniform(parse_pattern("1 2 1 2"), 2) is None
         beta = parse_pattern("5 6 7 8 5 8 7 6")
         assert splice(a1, Pattern(()), beta) == a1 + beta
+        # the scans need a pair or an alphabet size, never the morphism or an
+        # ambiguity witness
+        monkeypatch.setattr(solver, "Witness", no_witness)
+        monkeypatch.setattr(Morphism, "of", no_witness)
         for target in SCAN_TARGETS:
             for record in conjecture_scan(8, target):
                 assert not record.finding
+
+
+# is_ambiguous's result type as the verdict-only consumer gives it
+VERDICT_OF = {Witness: True, NoWitness: False, BudgetExhausted: None}
+
+
+def one_uniform_morphisms(pattern):
+    """Every pair-merging morphism of the pattern, then the morphism of every
+    canonical coloring of its variables with at most 3 letters."""
+    variables = sorted(pattern.variables)
+    for i, j in itertools.permutations(variables, 2):
+        yield merge_morphism(variables, i, j)
+    ordered = first_occurrence_order(pattern)
+    for coloring in canonical_colorings(len(ordered), 3):
+        yield Morphism.of({var: ALPHABET[c] for var, c in zip(ordered, coloring)})
+
+
+@pytest.mark.parametrize("length", range(1, 8))
+def test_ambiguity_verdict_matches_is_ambiguous(length):
+    # at the default budget, and at every budget up to the node total when
+    # that total is at most 200
+    for pattern in enumerate_canonical_patterns(length):
+        for sigma in one_uniform_morphisms(pattern):
+            images = dict(sigma.images)
+            word = sigma.apply(pattern)
+            total = is_ambiguous(sigma, pattern).nodes_explored
+            budgets = [solver.DEFAULT_BUDGET, *range(1, total + 1)] if total <= 200 else [solver.DEFAULT_BUDGET]
+            for budget in budgets:
+                expected = VERDICT_OF[type(is_ambiguous(sigma, pattern, budget=budget))]
+                assert solver._ambiguity_verdict(pattern.symbols, word, images, budget) is expected, (
+                    pattern,
+                    sigma,
+                    budget,
+                )
 
 
 def search_tree_size(pattern):
