@@ -23,7 +23,7 @@ from .generators import (
     thue_word,
 )
 from .morphisms import Morphism, merge_morphism
-from .solver import DEFAULT_BUDGET, BudgetExhausted, NoWitness, fixed_point_verdict, is_ambiguous
+from .solver import DEFAULT_BUDGET, _ambiguity_verdict, fixed_point_verdict
 from .words import Pattern, parse_pattern
 
 Check = tuple[bool, str]
@@ -40,10 +40,10 @@ DB_PATTERN_SAMPLE = "1 1 2 3 4 2 2 4 4 3"
 
 
 def _unambiguous(sigma: Morphism, pattern: Pattern) -> bool:
-    verdict = is_ambiguous(sigma, pattern)
-    if isinstance(verdict, BudgetExhausted):
+    verdict = _ambiguity_verdict(pattern.symbols, sigma.apply(pattern), sigma, DEFAULT_BUDGET)
+    if verdict is None:
         raise BudgetError(f"ambiguity check of {sigma} on {pattern} exceeded {DEFAULT_BUDGET} nodes")
-    return isinstance(verdict, NoWitness)
+    return not verdict
 
 
 def _fixed_point(pattern: Pattern) -> bool:

@@ -1,84 +1,114 @@
-"""Morphisms from variables to words, and pattern-to-pattern substitutions."""
+"""Morphisms sigma from variables to words, tested for (un)ambiguity, and
+substitutions phi from variables to patterns, which witness fixed points.
+
+Both are finite maps from variables to images: one private base stores the
+variable-sorted images and implements construction, parsing, lookup and the
+text form once.
+"""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Mapping
+from typing import Any, Iterable, Mapping, TypeVar
 
 from .errors import DomainError, ParseError
 from .words import ALPHABET, Pattern, parse_pattern, validate_word
 
+_Map = TypeVar("_Map", bound="_VariableMap")
+
 
 @dataclass(frozen=True, order=True)
-class Morphism:
-    """A finite map from variables to words, applied pointwise to patterns.
+class _VariableMap:
+    """A finite map from variables to images, applied pointwise to patterns.
 
     Stored as a variable-sorted tuple of ``(variable, image)`` pairs so that
-    instances are hashable and compare deterministically.
+    instances are hashable and compare deterministically.  A subclass names
+    its kind of map in ``_noun`` for error texts, reads an image's text in
+    ``_parse_image`` and checks an image in ``_check_image``.
     """
 
-    images: tuple[tuple[int, str], ...]
+    images: tuple[tuple[int, Any], ...]
+
+    _check_image = staticmethod(lambda image: image)  # every image passes unless overridden
 
     @classmethod
-    def of(cls, mapping: Mapping[int, str]) -> "Morphism":
+    def of(cls: type[_Map], mapping: Mapping[int, Any]) -> _Map:
         items = []
         for var in sorted(mapping):
-            if not isinstance(var, int) or var < 1:
-                raise DomainError(f"morphism domain must be positive integers, got {var!r}")
-            items.append((var, validate_word(mapping[var])))
+            if type(var) is not int or var < 1:
+                raise DomainError(f"{cls._noun} domain must be positive integers, got {var!r}")
+            items.append((var, cls._check_image(mapping[var])))
         return cls(tuple(items))
 
     @classmethod
-    def parse(cls, text: str) -> "Morphism":
-        """Parse the ``1=,2=a,3=ab`` format; an empty image means the empty word."""
-        mapping: dict[int, str] = {}
+    def parse(cls: type[_Map], text: str) -> _Map:
+        """Parse the ``1=...,2=...`` format, one image text per variable."""
+        mapping: dict[int, Any] = {}
         if text.strip():
             for entry in text.split(","):
                 var_text, sep, image = entry.strip().partition("=")
                 if not sep:
-                    raise ParseError(f"morphism entry {entry!r} is missing '='")
+                    raise ParseError(f"{cls._noun} entry {entry!r} is missing '='")
                 try:
                     var = int(var_text)
                 except ValueError:
-                    raise ParseError(f"invalid morphism variable {var_text!r}") from None
+                    raise ParseError(f"invalid {cls._noun} variable {var_text!r}") from None
                 if var < 1:
-                    raise ParseError(f"morphism variables must be >= 1, got {var_text!r}")
+                    raise ParseError(f"{cls._noun} variables must be >= 1, got {var_text!r}")
                 if var in mapping:
-                    raise ParseError(f"duplicate morphism variable {var}")
-                for ch in image:
-                    if ch not in ALPHABET:
-                        raise ParseError(f"invalid letter {ch!r} in image of variable {var}")
-                mapping[var] = image
+                    raise ParseError(f"duplicate {cls._noun} variable {var}")
+                mapping[var] = cls._parse_image(var, image)
         return cls.of(mapping)
 
     @cached_property
-    def _map(self) -> dict[int, str]:
+    def _map(self) -> dict[int, Any]:
         return dict(self.images)
 
-    def __getitem__(self, var: int) -> str:
+    def __getitem__(self, var: int) -> Any:
         try:
             return self._map[var]
         except KeyError:
-            raise DomainError(f"variable {var} outside morphism domain") from None
-
-    def get(self, var: int, default: str | None = None) -> str | None:
-        return self._map.get(var, default)
+            raise DomainError(f"variable {var} outside {self._noun} domain") from None
 
     @property
     def domain(self) -> frozenset[int]:
         return frozenset(self._map)
+
+    def _images_of(self, symbols: tuple[int, ...]) -> list:
+        """The image of each symbol, in order."""
+        images = self._map
+        try:
+            return [images[s] for s in symbols]
+        except KeyError as exc:
+            raise DomainError(f"variable {exc.args[0]} outside {self._noun} domain") from None
+
+    def __str__(self) -> str:
+        return ",".join(f"{var}={image}" for var, image in self.images)
+
+
+class Morphism(_VariableMap):
+    """A finite map from variables to words; an empty image is the empty word."""
+
+    _noun = "morphism"
+    _check_image = staticmethod(validate_word)
+
+    @staticmethod
+    def _parse_image(var: int, text: str) -> str:
+        for ch in text:
+            if ch not in ALPHABET:
+                raise ParseError(f"invalid letter {ch!r} in image of variable {var}")
+        return text
+
+    def get(self, var: int, default: str | None = None) -> str | None:
+        return self._map.get(var, default)
 
     @property
     def letters(self) -> frozenset[str]:
         return frozenset(ch for _, image in self.images for ch in image)
 
     def apply(self, pattern: Pattern) -> str:
-        images = self._map
-        try:
-            return "".join(images[s] for s in pattern.symbols)
-        except KeyError as exc:
-            raise DomainError(f"variable {exc.args[0]} outside morphism domain") from None
+        return "".join(self._images_of(pattern.symbols))
 
     def classify(self) -> "MorphismClass":
         values = [image for _, image in self.images]
@@ -86,9 +116,6 @@ class Morphism:
         nonerasing = all(image for image in values)
         renaming = one_uniform and len(set(values)) == len(values)
         return MorphismClass(one_uniform=one_uniform, nonerasing=nonerasing, renaming=renaming)
-
-    def __str__(self) -> str:
-        return ",".join(f"{var}={image}" for var, image in self.images)
 
 
 @dataclass(frozen=True)
@@ -98,64 +125,14 @@ class MorphismClass:
     renaming: bool
 
 
-@dataclass(frozen=True, order=True)
-class Substitution:
+class Substitution(_VariableMap):
     """A finite map from variables to patterns (an endomorphism on patterns)."""
 
-    images: tuple[tuple[int, Pattern], ...]
-
-    @classmethod
-    def of(cls, mapping: Mapping[int, Pattern]) -> "Substitution":
-        items = []
-        for var in sorted(mapping):
-            if not isinstance(var, int) or var < 1:
-                raise DomainError(f"substitution domain must be positive integers, got {var!r}")
-            items.append((var, mapping[var]))
-        return cls(tuple(items))
-
-    @classmethod
-    def parse(cls, text: str) -> "Substitution":
-        mapping: dict[int, Pattern] = {}
-        if text.strip():
-            for entry in text.split(","):
-                var_text, sep, image = entry.strip().partition("=")
-                if not sep:
-                    raise ParseError(f"substitution entry {entry!r} is missing '='")
-                try:
-                    var = int(var_text)
-                except ValueError:
-                    raise ParseError(f"invalid substitution variable {var_text!r}") from None
-                if var < 1 or var in mapping:
-                    raise ParseError(f"bad or duplicate substitution variable {var_text!r}")
-                mapping[var] = parse_pattern(image)
-        return cls.of(mapping)
-
-    @cached_property
-    def _map(self) -> dict[int, Pattern]:
-        return dict(self.images)
-
-    def __getitem__(self, var: int) -> Pattern:
-        try:
-            return self._map[var]
-        except KeyError:
-            raise DomainError(f"variable {var} outside substitution domain") from None
-
-    @property
-    def domain(self) -> frozenset[int]:
-        return frozenset(self._map)
+    _noun = "substitution"
+    _parse_image = staticmethod(lambda var, text: parse_pattern(text))
 
     def apply(self, pattern: Pattern) -> Pattern:
-        images = self._map
-        out: list[int] = []
-        try:
-            for s in pattern.symbols:
-                out.extend(images[s].symbols)
-        except KeyError as exc:
-            raise DomainError(f"variable {exc.args[0]} outside substitution domain") from None
-        return Pattern(tuple(out))
-
-    def __str__(self) -> str:
-        return ",".join(f"{var}={image}" for var, image in self.images)
+        return Pattern(tuple(s for image in self._images_of(pattern.symbols) for s in image.symbols))
 
 
 def renaming(variables: Iterable[int]) -> Morphism:

@@ -36,9 +36,9 @@ from .errors import DomainError
 from .morphisms import Morphism, Substitution
 from .words import (
     Pattern,
+    _neighbourhood_certificate,
     canonical_symbols,
     first_occurrence_order,
-    fixed_point_by_neighbourhoods,
     validate_word,
 )
 
@@ -278,7 +278,9 @@ def _differing_variable(assignment: dict, images) -> int | None:
     return None
 
 
-def _ambiguity_verdict(symbols: tuple[int, ...], word: str, images: dict, budget: int) -> bool | None:
+def _ambiguity_verdict(
+    symbols: tuple[int, ...], word: str, images: dict | Morphism, budget: int
+) -> bool | None:
     """Whether some assignment other than ``images`` maps the symbols onto
     ``word``, or None when the budget runs out first: the verdict of
     :func:`find_alternative` with ``images`` excluded and erasing allowed,
@@ -449,7 +451,7 @@ def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
         mirrored = _FP_CACHE.get(canonical_symbols(key[::-1]))
         if mirrored is not None:
             return mirrored[0] is not None
-        if fixed_point_by_neighbourhoods(Pattern(key)) is not None:
+        if _neighbourhood_certificate(key) is not None:
             return True
     entry = _fixed_point_search(key, budget)
     if isinstance(entry, BudgetExhausted):

@@ -35,7 +35,7 @@ class Pattern:
     def __post_init__(self) -> None:
         symbols = tuple(self.symbols)
         for s in symbols:
-            if not isinstance(s, int) or s < 1:
+            if type(s) is not int or s < 1:
                 raise DomainError(f"pattern variables must be positive integers, got {s!r}")
         object.__setattr__(self, "symbols", symbols)
 
@@ -212,7 +212,12 @@ def fixed_point_by_neighbourhoods(pattern: Pattern) -> tuple[int, int] | None:
     """
     if not pattern:
         raise DomainError("neighbourhoods are undefined for the empty pattern")
-    symbols = pattern.symbols
+    return _neighbourhood_certificate(pattern.symbols)
+
+
+def _neighbourhood_certificate(symbols: tuple[int, ...]) -> tuple[int, int] | None:
+    """:func:`fixed_point_by_neighbourhoods` of non-empty symbols, with no Pattern built."""
+    variables = set(symbols)
     padded = (BOUNDARY, *symbols, BOUNDARY)
     pairs = set(zip(padded, padded[1:]))
     # the only right (left) neighbour of each symbol, or None once it has two
@@ -221,10 +226,10 @@ def fixed_point_by_neighbourhoods(pattern: Pattern) -> tuple[int, int] | None:
     for a, b in pairs:
         right_of[a] = None if a in right_of else b
         left_of[b] = None if b in left_of else a
-    held = pattern.variables.difference([b for a, b in pairs if right_of[a] is None], symbols[:1])
+    held = variables.difference([b for a, b in pairs if right_of[a] is None], symbols[:1])
     if held:
         return (min(held), 1)
-    held = pattern.variables.difference([a for a, b in pairs if left_of[b] is None], symbols[-1:])
+    held = variables.difference([a for a, b in pairs if left_of[b] is None], symbols[-1:])
     if held:
         return (min(held), 2)
     return None

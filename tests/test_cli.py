@@ -12,7 +12,7 @@ from unambig import checks, cli, explorer, generators
 from unambig.errors import InconsistencyError
 from unambig.explorer import SCAN_TARGETS, ScanRecord
 from unambig.morphisms import Morphism, Substitution
-from unambig.solver import DEFAULT_BUDGET, BudgetExhausted, Witness
+from unambig.solver import DEFAULT_BUDGET
 from unambig.words import Pattern, parse_pattern
 
 from test_explorer import SCAN_DIGESTS
@@ -563,7 +563,7 @@ class TestVerify:
         assert all(line.startswith("ok: ") for line in out.splitlines())
 
     def test_failing_check_is_exit_1_and_every_line_prints(self, capsys, monkeypatch):
-        monkeypatch.setattr(checks, "is_ambiguous", lambda sigma, pattern: Witness(sigma, None, 0))
+        monkeypatch.setattr(checks, "_ambiguity_verdict", lambda symbols, word, images, budget: True)
         code, out, _ = run_cli(capsys, "verify", "thue", "--m", "4..4")
         assert code == 1
         assert out.splitlines() == [
@@ -574,7 +574,7 @@ class TestVerify:
         ]
 
     def test_pair_theorem_failure_names_the_first_violation(self, capsys, monkeypatch):
-        monkeypatch.setattr(checks, "is_ambiguous", lambda sigma, pattern: Witness(sigma, None, 0))
+        monkeypatch.setattr(checks, "_ambiguity_verdict", lambda symbols, word, images, budget: True)
         code, out, _ = run_cli(capsys, "verify", "pair-theorem", "--max-len", "6")
         assert code == 1
         assert out == (
@@ -592,7 +592,7 @@ class TestVerify:
         ],
     )
     def test_exhausted_ambiguity_budget_is_exit_3_not_a_failure(self, capsys, monkeypatch, args, ok_lines):
-        monkeypatch.setattr(checks, "is_ambiguous", lambda sigma, pattern: BudgetExhausted(10**8))
+        monkeypatch.setattr(checks, "_ambiguity_verdict", lambda symbols, word, images, budget: None)
         code, out, err = run_cli(capsys, "verify", *args)
         assert code == 3
         lines = out.splitlines()

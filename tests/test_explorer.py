@@ -616,6 +616,21 @@ class TestConjectureScan:
     def test_longer_scan_output_is_pinned(self, target, max_len):
         assert scan_digest(max_len, target, DEFAULT_BUDGET) == LONGER_SCAN_DIGESTS[target, max_len]
 
+    @pytest.mark.parametrize("target", SCAN_TARGETS)
+    def test_one_pattern_per_record(self, monkeypatch, target):
+        # the scans decide canonical keys: the record's Pattern is the only one
+        built = []
+        post_init = Pattern.__post_init__
+
+        def counted(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        monkeypatch.setattr(Pattern, "__post_init__", counted)
+        records = list(conjecture_scan(8, target))
+        assert len(built) == len(records)
+
     def test_theorem7_smallest_length(self):
         records = list(conjecture_scan(8, "theorem7"))
         assert len(records) == 105

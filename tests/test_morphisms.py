@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given
 import hypothesis.strategies as st
@@ -44,6 +46,10 @@ class TestMorphism:
     @given(morphism_strategy())
     def test_round_trip(self, m):
         assert Morphism.parse(str(m)) == m
+
+    def test_bool_is_not_a_variable(self):
+        with pytest.raises(DomainError, match="morphism domain must be positive integers, got True"):
+            Morphism.of({True: "a"})
 
     def test_apply(self):
         sigma = Morphism.of({1: "a", 2: "a", 3: "b"})
@@ -152,12 +158,156 @@ class TestEraseVariable:
             assert x not in erase_variable(p, x).variables
 
 
+def substitution_strategy(max_vars: int = 4):
+    return st.dictionaries(
+        st.integers(1, max_vars), pattern_strategy(min_len=0, max_len=4, max_vars=max_vars), max_size=max_vars
+    ).map(Substitution.of)
+
+
 class TestSubstitution:
     def test_parse_apply_round_trip(self):
         phi = Substitution.parse("1=,2=1 2")
         assert phi.apply(parse_pattern("1 2 1 2")) == parse_pattern("1 2 1 2")
         assert Substitution.parse(str(phi)) == phi
 
+    @given(substitution_strategy())
+    def test_round_trip(self, phi):
+        assert Substitution.parse(str(phi)) == phi
+
+    @pytest.mark.parametrize(
+        "text,message",
+        [
+            ("1", "substitution entry '1' is missing '='"),
+            ("x=1", "invalid substitution variable 'x'"),
+            ("0=1", "substitution variables must be >= 1, got '0'"),
+            ("1=1,1=2", "duplicate substitution variable 1"),
+            ("1=1 y", "invalid pattern token 'y'"),
+        ],
+    )
+    def test_parse_rejects_bad_entries(self, text, message):
+        with pytest.raises(ParseError) as info:
+            Substitution.parse(text)
+        assert str(info.value) == message
+
+    def test_bool_is_not_a_variable(self):
+        with pytest.raises(DomainError, match="substitution domain must be positive integers, got True"):
+            Substitution.of({True: Pattern(())})
+
     def test_apply_missing_variable(self):
         with pytest.raises(DomainError):
             Substitution.of({1: Pattern(())}).apply(parse_pattern("1 2"))
+
+
+def outcome(fn, *args):
+    """The repr of what the call returns, or its exception class and text."""
+    try:
+        return ("ok", repr(fn(*args)))
+    except Exception as exc:
+        return (type(exc).__name__, str(exc))
+
+
+MORPHISM_MAPS = (
+    {},
+    {1: ""},
+    {1: "a"},
+    {2: "ba", 5: ""},
+    {1: "a", 2: "a", 3: "b"},
+    {3: "abc", 1: "", 2: "zz"},
+    {1: "ab", 2: "b"},
+    {1: "a", 2: "b"},
+    {4: "c", 1: "a", 3: "b", 2: "d"},
+    {1: "a", 2: "b", 3: "c", 4: "b"},
+)
+SUBSTITUTION_TEXTS = ("", "1=", "1=1", "1=,2=1 2", "2=1 2,1=", "1=2,2=1", "1=1.2.1,3=3,2=", "5=7 7,2=2")
+GOLDEN_PATTERNS = ("", "1", "1 2 1", "2 5 2", "1 2 3 1 3 2", "3 3 1", "1 4", "7", "1 2 3 4 1 4 3 2")
+BAD_MORPHISM_MAPS = (
+    {0: "a"},
+    {-1: "a"},
+    {"1": "a"},
+    {1.0: "a"},
+    {1: "A"},
+    {1: 3},
+    {1: "a b"},
+    {1: None},
+    {2: "a", 0: "b"},
+)
+BAD_SUBSTITUTION_MAPS = ({0: Pattern(())}, {-3: Pattern((1,))}, {"1": Pattern(())}, {2.5: Pattern(())})
+BAD_MORPHISM_TEXTS = (
+    "1=a,1=b",
+    "1",
+    "x=a",
+    "1=A",
+    "0=a",
+    "-1=a",
+    "1=a,",
+    ",",
+    "1=a, 2=b",
+    "1 = a",
+    "+1=a",
+    "1_0=a",
+    "=a",
+    "1=a=b",
+    "2=b,1=a,2=c",
+)
+BAD_SUBSTITUTION_TEXTS = ("1", "x=1", "1=x", "1=0", "1=1 -2", "1=1,", ",", "1 = 1 2", "=1", "1=1=1")
+# the two Substitution.parse inputs whose texts may change: only the
+# exception class enters the digest
+RENUMBERED_SUBSTITUTION_TEXTS = ("0=1", "1=1,1=2")
+
+
+def golden_morphism_outcomes():
+    patterns = [parse_pattern(text) for text in GOLDEN_PATTERNS]
+    morphisms = [Morphism.of(m) for m in MORPHISM_MAPS]
+    morphisms += [Morphism.parse("1=,2=a,3=ab"), Morphism.parse(""), Morphism(()), Morphism(((1, "a"),))]
+    substitutions = [Substitution.parse(text) for text in SUBSTITUTION_TEXTS]
+    substitutions += [Substitution.of({2: Pattern((1, 1)), 1: Pattern(())}), Substitution(())]
+    for sigma in morphisms:
+        yield repr(sigma), str(sigma), outcome(Morphism.parse, str(sigma))
+        yield sorted(sigma.domain), sorted(sigma.letters), sigma.classify()
+        for var in range(-1, 7):
+            yield var, outcome(sigma.__getitem__, var), sigma.get(var), sigma.get(var, "q")
+        yield outcome(sigma.__getitem__, "1")
+        for pattern in patterns:
+            yield outcome(sigma.apply, pattern)
+    for phi in substitutions:
+        yield repr(phi), str(phi), outcome(Substitution.parse, str(phi)), sorted(phi.domain)
+        for var in range(-1, 7):
+            yield var, outcome(phi.__getitem__, var)
+        yield outcome(phi.__getitem__, "1")
+        for pattern in patterns:
+            yield outcome(phi.apply, pattern)
+    for group in (morphisms, substitutions, morphisms[:3] + substitutions[:3]):
+        for a in group:
+            yield [(a == b, a != b, hash(a) == hash(b), outcome(lambda: a < b)) for b in group]
+        yield outcome(lambda: [group.index(x) for x in sorted(group)])
+    for mapping in BAD_MORPHISM_MAPS:
+        yield outcome(Morphism.of, mapping)
+    for mapping in BAD_SUBSTITUTION_MAPS:
+        yield outcome(Substitution.of, mapping)
+    for text in BAD_MORPHISM_TEXTS:
+        yield outcome(Morphism.parse, text)
+    for text in BAD_SUBSTITUTION_TEXTS:
+        yield outcome(Substitution.parse, text)
+    for text in RENUMBERED_SUBSTITUTION_TEXTS:
+        yield outcome(Substitution.parse, text)[0]
+    for variables in ({1}, {3, 1, 7}, set(range(1, 27)), set(range(1, 28)), set(), {0, 2}):
+        yield outcome(renaming, variables)
+    for variables in ({1, 2}, {1, 2, 3, 4}, {2, 5, 9}, set(range(1, 27)), set(range(1, 28))):
+        for i in sorted(variables)[:3] + [0, 30]:
+            for j in sorted(variables)[-3:] + [0]:
+                for size in (None, 1, 2, 3, 26):
+                    yield outcome(merge_morphism, variables, i, j, size)
+
+
+# sha256 of golden_morphism_outcomes(), one repr per line, recorded while
+# Morphism and Substitution were two separate implementations: any change to
+# a repr, a text form, an order, a hash class, an answer or an error text
+# changes it.
+MORPHISMS_DIGEST = "d9ea773e11a0f2f29617fb275a03a0289aab4611b823c4fd29db46b6eda9e951"
+
+
+def test_golden_morphisms_digest():
+    digest = hashlib.sha256()
+    for item in golden_morphism_outcomes():
+        digest.update(repr(item).encode() + b"\n")
+    assert digest.hexdigest() == MORPHISMS_DIGEST

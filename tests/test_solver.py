@@ -9,6 +9,7 @@ import hypothesis.strategies as st
 
 from unambig.errors import DomainError
 from unambig import solver
+from unambig.checks import pair_theorem_checks, shortest_checks, thue_checks
 from unambig.conditions import billaud_instance, image_is_fixed_point
 from unambig.explorer import (
     SCAN_TARGETS,
@@ -244,6 +245,15 @@ class TestFixedPointVerdict:
         for target in SCAN_TARGETS:
             for record in conjecture_scan(8, target):
                 assert not record.finding
+
+    def test_verify_bundles_build_no_result_objects(self, monkeypatch):
+        def no_result(*args, **kwargs):
+            raise AssertionError("a verify bundle built an ambiguity result")
+
+        monkeypatch.setattr(solver, "Witness", no_result)
+        monkeypatch.setattr(solver, "NoWitness", no_result)
+        checks = [*thue_checks(range(4, 6)), *shortest_checks(range(2, 6)), *pair_theorem_checks(6)]
+        assert checks and all(ok for ok, _ in checks)
 
 
 # is_ambiguous's result type as the verdict-only consumer gives it

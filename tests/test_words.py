@@ -28,6 +28,11 @@ class TestPattern:
         with pytest.raises(DomainError):
             Pattern((-3,))
 
+    def test_bool_is_not_a_variable(self):
+        # True == 1 would make the pattern equal 1 2 1 but print as True 2 True
+        with pytest.raises(DomainError, match="pattern variables must be positive integers, got True"):
+            Pattern((True, 2, True))
+
     def test_sequence_protocol(self):
         p = Pattern((1, 2, 1))
         assert len(p) == 3
