@@ -11,7 +11,8 @@ the solver uses it too, and re-exported here.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, count
+from typing import Sequence
 
 from .errors import BudgetError, DomainError
 from .morphisms import merge_morphism
@@ -24,7 +25,9 @@ from .solver import (
 )
 from .words import (
     Pattern,
+    canonical_symbols,
     factor_multiplicity,
+    first_occurrence_order,
     fixed_point_by_neighbourhoods,
     neighbourhoods,
     word_to_pattern,
@@ -162,27 +165,23 @@ def billaud_instance(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> Billa
     decided as :func:`fixed_point_verdict` decides it, from its canonical
     key.
     """
-    # rank: each variable's canonical symbol, numbered from 1 by first
-    # occurrence; counts[r]: the occurrences of canonical symbol r
-    rank: dict[int, int] = {}
-    canonical: list[int] = []
-    counts = [0]
-    for s in pattern.symbols:
-        if s not in rank:
-            rank[s] = len(counts)
-            counts.append(0)
-        r = rank[s]
-        canonical.append(r)
-        counts[r] += 1
-    if len(rank) < 3:
+    names = first_occurrence_order(pattern)
+    if len(names) < 3:
         raise DomainError("the conjecture instance needs at least 3 distinct variables")
     _validate_budget(budget)
-    key = tuple(canonical)
+    return _billaud_report(canonical_symbols(pattern.symbols), names, budget)
+
+
+def _billaud_report(key: tuple[int, ...], names: Sequence[int], budget: int) -> BillaudReport:
+    """The report of :func:`billaud_instance` on a canonical key with at
+    least 3 distinct symbols, whose canonical symbol r names the variable
+    ``names[r - 1]``."""
+    # counts[r]: the occurrences of canonical symbol r
+    counts = [key.count(r) for r in range(len(names) + 1)]
     n = len(key)
     singletons = counts.count(1)
     delta_status: dict[int, bool] = {}
-    for var in sorted(rank):
-        r = rank[var]
+    for var, r in sorted(zip(names, count(1))):
         # the deletion has a variable occurring once iff another one does
         singleton = singletons > (counts[r] == 1)
         if singleton and _covers_search_tree(n - counts[r], budget):

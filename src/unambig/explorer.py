@@ -14,10 +14,11 @@ import json
 import os
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 from multiprocessing import Pool
 from typing import Iterator
 
-from .conditions import BillaudReport, _pair_clauses, billaud_instance
+from .conditions import BillaudReport, _billaud_report, _pair_clauses
 from .errors import BudgetError, DomainError, InconsistencyError, ResourceError
 from .morphisms import Morphism, merge_morphism
 from .solver import DEFAULT_BUDGET, _ambiguity_verdict, _key_verdict, _validate_budget, fixed_point_verdict
@@ -35,60 +36,55 @@ _JSON_LITERAL = {True: "true", False: "false", None: "null"}
 def search_sigma_ij(
     pattern: Pattern, *, budget: int = DEFAULT_BUDGET
 ) -> tuple[int, int, Morphism] | None:
-    """The first ordered pair (i, j) whose pair-merging morphism is
+    """The first pair (i, j), i < j, whose pair-merging morphism is
     unambiguous with respect to the pattern, or None.
 
     Fixed points are rejected outright (every nonerasing morphism is
     ambiguous there).  Pairs iterate lexicographically; each is
     fast-accepted when the pair condition certifies unambiguity, and only
-    otherwise decided by the solver.  A solver verdict is reused for the
-    mirrored pair, whose merged image is the same word up to renaming.
+    otherwise decided by the solver.  The mirrored pair (j, i) is never
+    tried: its merged image is the same word up to renaming, so it has the
+    same verdict, and it comes after (i, j).
     """
     if len(pattern.variables) < 2:
         raise DomainError("the pattern needs at least 2 distinct variables")
-    found = _sigma_ij_pair(pattern, fixed_point_verdict(pattern, budget=budget), budget)
+    own = fixed_point_verdict(pattern, budget=budget)
+    if own is None:
+        raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
+    if own:
+        return None
+    if len(pattern.variables) > len(ALPHABET):
+        # what merge_morphism raises at the first pair
+        raise DomainError(f"alphabet too small: construction needs {len(pattern.variables)} letters")
+    found = _sigma_ij_pair(pattern, budget)
     if found is None:
         return None
     i, j = found
     return (i, j, merge_morphism(pattern.variables, i, j))
 
 
-def _sigma_ij_pair(pattern: Pattern, own: bool | None, budget: int) -> tuple[int, int] | None:
-    """The pair of :func:`search_sigma_ij`, given the pattern's own
-    fixed-point verdict ``own``, with no morphism built.
+def _sigma_ij_pair(pattern: Pattern, budget: int) -> tuple[int, int] | None:
+    """The pair of :func:`search_sigma_ij` on a pattern that is not a fixed
+    point and has at most 26 variables, with no morphism built.
 
     Each pair's merged image is the pattern spelt with one letter per
     variable, by rank as :func:`merge_morphism` assigns them, with j's
     letter replaced by i's; the solver gives only its verdict.
     """
-    if own is None:
-        raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
-    if own:
-        return None
     variables = sorted(pattern.variables)
-    if len(variables) > len(ALPHABET):
-        # what merge_morphism raises at the first pair
-        raise DomainError(f"alphabet too small: construction needs {len(variables)} letters")
     symbols = pattern.symbols
     letters = {var: ALPHABET[rank] for rank, var in enumerate(variables)}
     spelt = "".join([letters[s] for s in symbols])
-    settled: set[tuple[int, int]] = set()
-    clauses = None  # the pair condition, built at the first pair that needs it
-    for i in variables:
-        for j in variables:
-            if i == j or (j, i) in settled:
-                continue
-            if clauses is None:
-                clauses = _pair_clauses(pattern)
-            if clauses(i, j)[-1]:
-                return (i, j)
-            merged = spelt.replace(letters[j], letters[i])
-            verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget)
-            if verdict is None:
-                raise BudgetError(f"solver run for the pair ({i}, {j}) exceeded {budget} nodes")
-            if not verdict:
-                return (i, j)
-            settled.add((i, j))
+    clauses = _pair_clauses(pattern)
+    for i, j in combinations(variables, 2):
+        if clauses(i, j)[-1]:
+            return (i, j)
+        merged = spelt.replace(letters[j], letters[i])
+        verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget)
+        if verdict is None:
+            raise BudgetError(f"solver run for the pair ({i}, {j}) exceeded {budget} nodes")
+        if not verdict:
+            return (i, j)
     return None
 
 
@@ -162,8 +158,10 @@ def least_uniform_alphabet(pattern: Pattern, max_k: int, *, budget: int = DEFAUL
     ambiguous at a smaller size.
     """
     top = min(max_k, len(ALPHABET))
-    if top >= 1:
-        k = _least_alphabet(pattern.symbols, fixed_point_verdict(pattern, budget=budget), top, budget)
+    # a fixed-point check that runs out of budget sweeps the colorings, as
+    # search_1uniform does
+    if top >= 1 and not fixed_point_verdict(pattern, budget=budget):
+        k = _least_alphabet(pattern.symbols, top, budget)
         if k is not None:
             return k
     if max_k > len(ALPHABET):
@@ -171,12 +169,9 @@ def least_uniform_alphabet(pattern: Pattern, max_k: int, *, budget: int = DEFAUL
     return None
 
 
-def _least_alphabet(symbols: tuple[int, ...], own: bool | None, top: int, budget: int) -> int | None:
-    """:func:`least_uniform_alphabet` for sizes up to ``top`` <= 26, given
-    the pattern's own fixed-point verdict ``own``; a verdict that ran out of
-    budget sweeps the colorings as a non-fixed point does."""
-    if own:
-        return None
+def _least_alphabet(symbols: tuple[int, ...], top: int, budget: int) -> int | None:
+    """:func:`least_uniform_alphabet` for sizes up to ``top`` <= 26, on a
+    pattern whose fixed-point check said no or ran out of budget."""
     items = len(set(symbols))
     for k in range(1, top + 1):
         exact = _canonical_sequences(items, min_vars=k, max_vars=k)
@@ -288,8 +283,8 @@ def _scan_pattern(key: tuple[int, ...], target: str, budget: int) -> ScanRecord:
     var_count = max(key)
     try:
         if target == "conjecture3":
-            # billaud_instance decides the pattern itself too
-            report = billaud_instance(pattern, budget=budget)
+            # the report decides the pattern itself too
+            report = _billaud_report(key, range(1, var_count + 1), budget)
             return ScanRecord(
                 pattern,
                 report.alpha_is_fixed_point,
@@ -305,9 +300,9 @@ def _scan_pattern(key: tuple[int, ...], target: str, budget: int) -> ScanRecord:
             # is nothing to search and nothing to flag
             return ScanRecord(pattern, True, var_count)
         if target == "conjecture1":
-            k = _least_alphabet(key, alpha_fp, var_count - 1, budget)
+            k = _least_alphabet(key, var_count - 1, budget)
             return ScanRecord(pattern, False, var_count, best_uniform_k=k, finding=k is None)
-        pair = _sigma_ij_pair(pattern, alpha_fp, budget)
+        pair = _sigma_ij_pair(pattern, budget)
     except BudgetError:
         # the pattern's own verdict, None or a bool, asked for again: a memo
         # hit, the same shortcut or the same search gives the same answer

@@ -30,8 +30,6 @@ class _VariableMap:
 
     images: tuple[tuple[int, Any], ...]
 
-    _check_image = staticmethod(lambda image: image)  # every image passes unless overridden
-
     @classmethod
     def of(cls: type[_Map], mapping: Mapping[int, Any]) -> _Map:
         items = []
@@ -66,10 +64,10 @@ class _VariableMap:
         return dict(self.images)
 
     def __getitem__(self, var: int) -> Any:
-        try:
+        # a bool is no variable, though True == 1
+        if type(var) is int and var in self._map:
             return self._map[var]
-        except KeyError:
-            raise DomainError(f"variable {var} outside {self._noun} domain") from None
+        raise DomainError(f"variable {var} outside {self._noun} domain")
 
     @property
     def domain(self) -> frozenset[int]:
@@ -101,7 +99,7 @@ class Morphism(_VariableMap):
         return text
 
     def get(self, var: int, default: str | None = None) -> str | None:
-        return self._map.get(var, default)
+        return self._map.get(var, default) if type(var) is int else default
 
     @property
     def letters(self) -> frozenset[str]:
@@ -130,6 +128,12 @@ class Substitution(_VariableMap):
 
     _noun = "substitution"
     _parse_image = staticmethod(lambda var, text: parse_pattern(text))
+
+    @staticmethod
+    def _check_image(image: Any) -> Pattern:
+        if not isinstance(image, Pattern):
+            raise DomainError(f"substitution images must be patterns, got {image!r}")
+        return image
 
     def apply(self, pattern: Pattern) -> Pattern:
         return Pattern(tuple(s for image in self._images_of(pattern.symbols) for s in image.symbols))
@@ -168,8 +172,8 @@ def merge_morphism(
         raise DomainError(f"alphabet too small: construction needs {used} letters")
     if alphabet_size is not None and alphabet_size < used:
         raise DomainError(f"alphabet too small: construction needs {used} letters, got {alphabet_size}")
-    images = {var: ALPHABET[rank[var]] for var in ordered}
-    images[j] = ALPHABET[rank[i]]
+    images = {var: ALPHABET[rank[var]] for var in ordered if var != j}
+    images[j] = images[i]
     return Morphism.of(images)
 
 

@@ -1,9 +1,11 @@
 import hashlib
 import json
 import os
+import re
 import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -441,6 +443,15 @@ class TestScan:
         assert code == 0
         assert out == "records: 5040\nfindings: 0\nbudget-hits: 0\n"
         assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET]
+
+    def test_console_script_job_checks_the_pinned_digest(self):
+        # the CI job that installs the package checks the same scan's bytes
+        # against its own copy of the digest
+        workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
+        job = workflow.read_text().split("\n  console-script:\n", 1)[1]
+        assert "unambig scan --target conjecture3 --max-len 8 --out c3.jsonl\n" in job
+        pinned = re.findall(r'echo "([0-9a-f]{64})  c3\.jsonl" \| sha256sum -c -', job)
+        assert pinned == [SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET][1]]
 
     def test_worker_count_does_not_change_output(self, capsys, tmp_path):
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"

@@ -631,6 +631,35 @@ class TestConjectureScan:
         records = list(conjecture_scan(8, target))
         assert len(built) == len(records)
 
+    def test_pair_core_asks_each_unordered_pair_once(self, monkeypatch):
+        # the mirrored pair (j, i) merges to the same word up to renaming, so
+        # the pair core asks the pair condition only about i < j, in order
+        asked = []
+
+        def recording(pattern):
+            clauses = _pair_clauses(pattern)
+            calls = []
+            asked.append(calls)
+
+            def recorded(i, j):
+                calls.append((i, j))
+                return clauses(i, j)
+
+            return recorded
+
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        monkeypatch.setattr(explorer, "_pair_clauses", recording)
+        for target, max_len in (("conjecture2", 9), ("theorem7", 10)):
+            searched = len(asked)
+            records = list(conjecture_scan(max_len, target))
+            assert len(asked) - searched == sum(record.is_fixed_point is False for record in records)
+        for calls in asked:
+            assert all(i < j for i, j in calls)
+            assert calls == sorted(set(calls))
+        # up to length 8 every pattern stops at some pair (1, j); here some
+        # go past them all, to where (2, 1) would come in pair order
+        assert any(calls[-1][0] > 1 for calls in asked)
+
     def test_theorem7_smallest_length(self):
         records = list(conjecture_scan(8, "theorem7"))
         assert len(records) == 105

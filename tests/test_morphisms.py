@@ -51,6 +51,14 @@ class TestMorphism:
         with pytest.raises(DomainError, match="morphism domain must be positive integers, got True"):
             Morphism.of({True: "a"})
 
+    def test_bool_is_not_looked_up(self):
+        sigma = Morphism.of({1: "a"})
+        with pytest.raises(DomainError, match="variable True outside morphism domain"):
+            sigma[True]
+        assert sigma.get(True) is None
+        assert sigma.get(True, "q") == "q"
+        assert sigma[1] == "a" and sigma.get(1) == "a"
+
     def test_apply(self):
         sigma = Morphism.of({1: "a", 2: "a", 3: "b"})
         assert sigma.apply(parse_pattern("1 2 3 1 3 2")) == "aabab" + "a"
@@ -138,6 +146,14 @@ class TestMergeMorphism:
         # Two variables collapse to a single letter, so one suffices.
         assert merge_morphism({1, 2}, 1, 2, alphabet_size=1) == Morphism.of({1: "a", 2: "a"})
 
+    def test_last_of_27_variables_merges_into_26_letters(self):
+        # j's letter is i's, so j's own rank never names a letter
+        m = merge_morphism(range(1, 28), 3, 27)
+        assert m[27] == m[3] == "c"
+        assert len(m.letters) == 26
+        with pytest.raises(DomainError, match="alphabet too small: construction needs 27 letters"):
+            merge_morphism(range(1, 28), 3, 26)
+
 
 class TestEraseVariable:
     def test_deletes_all_occurrences(self):
@@ -192,6 +208,15 @@ class TestSubstitution:
     def test_bool_is_not_a_variable(self):
         with pytest.raises(DomainError, match="substitution domain must be positive integers, got True"):
             Substitution.of({True: Pattern(())})
+
+    @pytest.mark.parametrize("image", ["1 2", (1, 2), None, ""])
+    def test_images_must_be_patterns(self, image):
+        with pytest.raises(DomainError, match="substitution images must be patterns"):
+            Substitution.of({1: image})
+
+    def test_bool_is_not_looked_up(self):
+        with pytest.raises(DomainError, match="variable True outside substitution domain"):
+            Substitution.of({1: Pattern(())})[True]
 
     def test_apply_missing_variable(self):
         with pytest.raises(DomainError):
@@ -300,10 +325,12 @@ def golden_morphism_outcomes():
 
 
 # sha256 of golden_morphism_outcomes(), one repr per line, recorded while
-# Morphism and Substitution were two separate implementations: any change to
-# a repr, a text form, an order, a hash class, an answer or an error text
-# changes it.
-MORPHISMS_DIGEST = "d9ea773e11a0f2f29617fb275a03a0289aab4611b823c4fd29db46b6eda9e951"
+# Morphism and Substitution were two separate implementations, and recorded
+# again when merging j = 27 of 27 variables stopped raising IndexError (those
+# six merge_morphism cases now give their morphism; nothing else changed):
+# any change to a repr, a text form, an order, a hash class, an answer or an
+# error text changes it.
+MORPHISMS_DIGEST = "4c71b886c934a4a9a2c448156b809d4097fb01ae5b65dc6b29cfcad2468affb4"
 
 
 def test_golden_morphisms_digest():
