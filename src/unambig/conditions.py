@@ -159,11 +159,12 @@ def billaud_instance(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> Billa
     least two variables, so the deletion has a variable occurring once, and
     is a fixed point, iff some u != v occurs once in the pattern.  The
     pattern itself is answered the same way when one of its variables
-    occurs once.  Such an answer is taken only when the budget covers the
-    whole search tree, where the search could not run out either; it
-    leaves no memo entry.  Every other deletion, and the pattern itself, is
-    decided as :func:`fixed_point_verdict` decides it, from its canonical
-    key.
+    occurs once, so when two occur once the whole report is true at once.
+    Such an answer is taken only when the budget covers the pattern's whole
+    search tree, and so each deletion's, where the search could not run out
+    either; it leaves no memo entry.  Every other deletion, and the pattern
+    itself, is decided as :func:`fixed_point_verdict` decides it, from its
+    canonical key.
     """
     names = first_occurrence_order(pattern)
     if len(names) < 3:
@@ -178,13 +179,17 @@ def _billaud_report(key: tuple[int, ...], names: Sequence[int], budget: int) -> 
     ``names[r - 1]``."""
     # counts[r]: the occurrences of canonical symbol r
     counts = [key.count(r) for r in range(len(names) + 1)]
-    n = len(key)
     singletons = counts.count(1)
+    # a deletion is shorter than the pattern, so its tree is covered too
+    covered = _covers_search_tree(len(key), budget)
+    if covered and singletons >= 2:
+        # every deletion keeps a variable occurring once, and so does the
+        # pattern: all are fixed points
+        return BillaudReport(dict.fromkeys(sorted(names), True), True, True, True)
     delta_status: dict[int, bool] = {}
     for var, r in sorted(zip(names, count(1))):
         # the deletion has a variable occurring once iff another one does
-        singleton = singletons > (counts[r] == 1)
-        if singleton and _covers_search_tree(n - counts[r], budget):
+        if covered and singletons > (counts[r] == 1):
             delta_status[var] = True
             continue
         deleted = tuple([s if s < r else s - 1 for s in key if s != r])
@@ -192,7 +197,7 @@ def _billaud_report(key: tuple[int, ...], names: Sequence[int], budget: int) -> 
         if verdict is None:
             raise BudgetError(f"fixed-point check after deleting {var} exceeded {budget} nodes")
         delta_status[var] = verdict
-    if singletons and _covers_search_tree(n, budget):
+    if covered and singletons:
         alpha_fp = True
     else:
         alpha_fp = _key_verdict(key, budget)

@@ -15,7 +15,6 @@ import os
 from dataclasses import dataclass
 from functools import partial
 from itertools import combinations
-from multiprocessing import Pool
 from typing import Iterator
 
 from .conditions import BillaudReport, _billaud_report, _pair_clauses
@@ -105,9 +104,11 @@ def search_1uniform(
 
     Fixed points are rejected outright, since every nonerasing morphism is
     ambiguous there: the answer is None and no coloring reaches the solver.
-    The check is :func:`fixed_point_verdict`: a renaming class is searched
-    at most once, and not at all when a certificate or the memo entry of the
-    reversed pattern answers.  A check that runs out of budget falls through
+    The check is :func:`fixed_point_verdict`: a pattern with a variable
+    occurring once is answered before it is canonicalised, a renaming class
+    is searched at most once, and not at all when a certificate or the memo
+    entry of the reversed pattern answers; such an answer is kept in the
+    memo as a bare verdict.  A check that runs out of budget falls through
     to the sweep; so on a fixed point, a budget that covers the check but not
     the sweep gives None, not BudgetError.
 
@@ -246,7 +247,7 @@ class ScanRecord:
         pair = self.best_sigma_ij
         k = self.best_uniform_k
         line = (
-            f'{{"pattern": "{self.pattern}", "is_fixed_point": {_JSON_LITERAL[self.is_fixed_point]}, '
+            f'{{"pattern": "{" ".join(map(str, self.pattern.symbols))}", "is_fixed_point": {_JSON_LITERAL[self.is_fixed_point]}, '
             f'"var_count": {self.var_count}, "best_sigma_ij": {f"[{pair[0]}, {pair[1]}]" if pair else "null"}, '
             f'"best_uniform_k": {"null" if k is None else k}, "budget_hit": {_JSON_LITERAL[self.budget_hit]}, '
             f'"finding": {_JSON_LITERAL[self.finding]}'
@@ -359,6 +360,9 @@ def _scan_records(
         for key in keys:
             yield _scan_pattern(key, target, budget)
         return
+    # imported here: a one-worker run, the common case, never loads it
+    from multiprocessing import Pool
+
     job = partial(_scan_pattern, target=target, budget=budget)
     with Pool(workers) as pool:
         yield from pool.imap(job, keys, chunksize=64)

@@ -87,7 +87,8 @@ class _BudgetHit(Exception):
 
 
 def _validate_budget(budget: int) -> None:
-    if not isinstance(budget, int) or budget < 1:
+    # type(), not isinstance(): True is an int to isinstance
+    if type(budget) is not int or budget < 1:
         raise DomainError(f"budget must be a positive node count, got {budget!r}")
 
 
@@ -352,8 +353,25 @@ def _covers_search_tree(n: int, budget: int) -> bool:
 
 # Fixed-point verdicts are memoized by canonical form: scans ask about the
 # same short patterns (deleted-variable images in particular) over and over.
-_FP_CACHE: dict[tuple[int, ...], tuple[tuple | None, int]] = {}
+# A searched key holds ``(phi_items, nodes)``; a key answered by a shortcut
+# holds its bare verdict, which answers only under a budget that covers the
+# key's search tree, as the shortcut did.
+_FP_CACHE: dict[tuple[int, ...], tuple[tuple | None, int] | bool] = {}
 _FP_CACHE_LIMIT = 1 << 20
+
+
+def _has_singleton(symbols: tuple[int, ...]) -> bool:
+    """Whether some variable occurs exactly once in symbols of length >= 2,
+    which makes them a fixed point: phi(x) = the pattern for that x, phi(y)
+    empty for every other y.  Naming does not matter, so the symbols need not
+    be canonical."""
+    n = len(symbols)
+    if n < 2:
+        return False
+    # more than n / 2 variables cannot all occur twice, so only fewer need
+    # counting
+    distinct = set(symbols)
+    return 2 * len(distinct) > n or 1 in map(symbols.count, distinct)
 
 
 def _fp_result(
@@ -401,14 +419,16 @@ def is_fixed_point(
     """Decide whether the pattern is the fixed point of a nontrivial morphism.
 
     Runs the preimage search on the pattern read as a word over its own
-    variables, excluding the identity substitution.
+    variables, excluding the identity substitution.  Only a searched memo
+    entry answers; a verdict-only one carries no witness, so the key is
+    searched.
     """
     key = canonical_symbols(pattern.symbols)
     if not key:
         raise DomainError("the pattern must be non-empty")
     _validate_budget(budget)
     entry = _FP_CACHE.get(key)
-    if entry is None or entry[1] > budget:
+    if type(entry) is not tuple or entry[1] > budget:
         entry = _fixed_point_search(key, budget)
         if isinstance(entry, BudgetExhausted):
             return entry
@@ -420,39 +440,53 @@ def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bo
     None when the budget runs out first.
 
     The same decision as :func:`is_fixed_point`, but no witness substitution
-    is built.  A memo hit answers first.  Otherwise, when the budget covers
-    the whole search tree, the verdict comes without a search from a
-    variable occurring once, from the memo entry of the reversed pattern or
-    from :func:`fixed_point_by_neighbourhoods`; such an answer leaves no
-    memo entry.  Every other case runs the search.
+    is built.  When the budget covers the whole search tree, a variable
+    occurring once answers first, before the pattern is canonicalised.
+    Otherwise the canonical key is decided by :func:`_key_verdict`.
     """
-    key = canonical_symbols(pattern.symbols)
-    if not key:
+    symbols = pattern.symbols
+    if not symbols:
         raise DomainError("the pattern must be non-empty")
     _validate_budget(budget)
-    return _key_verdict(key, budget)
+    if _covers_search_tree(len(symbols), budget) and _has_singleton(symbols):
+        return True
+    return _key_verdict(canonical_symbols(symbols), budget)
 
 
 def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     """:func:`fixed_point_verdict` of a non-empty canonical key, for a valid
-    budget.  A memo hit costs one lookup: nothing is computed before it."""
+    budget.
+
+    A memo hit costs one lookup: nothing is computed before it.  Otherwise,
+    when the budget covers the whole search tree, the verdict comes without
+    a search from a variable occurring once, from the memo entry of the
+    reversed key or from :func:`fixed_point_by_neighbourhoods`.  The last two
+    answers are stored as verdict-only memo entries; a singleton answer is
+    cheaper than a lookup of the reversal and is not stored.  Every other
+    case runs the search, which stores its ``(phi_items, nodes)`` entry.
+    """
     entry = _FP_CACHE.get(key)
-    if entry is not None and entry[1] <= budget:
+    if type(entry) is tuple and entry[1] <= budget:
         return entry[0] is not None
-    n = len(key)
-    if _covers_search_tree(n, budget):
-        # phi(x) = pattern for the variable x occurring once, phi(y) empty
-        # for every other y.  More than n / 2 variables cannot all occur
-        # twice, so only fewer need counting.
-        distinct = set(key)
-        if n >= 2 and (2 * len(distinct) > n or 1 in map(key.count, distinct)):
+    if _covers_search_tree(len(key), budget):
+        # a searched entry counts no more nodes than the tree holds, so it
+        # answered above: this one is a verdict
+        if entry is not None:
+            return entry
+        if _has_singleton(key):
             return True
         # phi(alpha) = alpha iff the mirrored phi fixes alpha reversed
         mirrored = _FP_CACHE.get(canonical_symbols(key[::-1]))
         if mirrored is not None:
-            return mirrored[0] is not None
-        if _neighbourhood_certificate(key) is not None:
-            return True
+            verdict = mirrored if type(mirrored) is bool else mirrored[0] is not None
+        elif _neighbourhood_certificate(key) is not None:
+            verdict = True
+        else:
+            verdict = None
+        if verdict is not None:
+            if len(_FP_CACHE) < _FP_CACHE_LIMIT:
+                _FP_CACHE[key] = verdict
+            return verdict
     entry = _fixed_point_search(key, budget)
     if isinstance(entry, BudgetExhausted):
         return None

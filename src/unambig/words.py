@@ -55,7 +55,7 @@ class Pattern:
         return bool(self.symbols)
 
     def __str__(self) -> str:
-        return " ".join(str(s) for s in self.symbols)
+        return " ".join(map(str, self.symbols))
 
     @cached_property
     def variables(self) -> frozenset[int]:

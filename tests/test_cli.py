@@ -1,5 +1,6 @@
 import hashlib
 import json
+import multiprocessing
 import os
 import re
 import shlex
@@ -450,6 +451,10 @@ class TestScan:
         workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
         job = workflow.read_text().split("\n  console-script:\n", 1)[1]
         assert "unambig scan --target conjecture3 --max-len 8 --out c3.jsonl\n" in job
+        # and runs the worker pool, imported only when a scan starts one,
+        # from the installed package, to the same bytes
+        assert "unambig scan --target conjecture3 --max-len 8 --workers 2 --out c3w2.jsonl\n" in job
+        assert "cmp c3.jsonl c3w2.jsonl\n" in job
         pinned = re.findall(r'echo "([0-9a-f]{64})  c3\.jsonl" \| sha256sum -c -', job)
         assert pinned == [SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET][1]]
 
@@ -505,7 +510,8 @@ class TestScan:
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(explorer.os, "cpu_count", lambda: 2)
-        monkeypatch.setattr(explorer, "Pool", no_pool)
+        # the scan imports the pool from multiprocessing when it starts one
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         out_file = tmp_path / "x.jsonl"
         out_file.write_bytes(b"precious\n")
         code, out, err = run_cli(
@@ -777,6 +783,16 @@ class TestConsoleScript:
         )
         assert proc.returncode == 0
         assert proc.stdout.strip() == "abc"
+
+    def test_importing_the_package_loads_no_worker_pool(self):
+        # multiprocessing is imported only by a scan with more than one worker
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, unambig, unambig.cli; print('multiprocessing' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=_checkout_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (0, "False\n")
 
     def test_closed_pipe_is_quiet(self):
         # `python -m unambig` runs cli.run(), the function the `unambig`

@@ -292,6 +292,31 @@ class TestBillaudInstance:
             assert sweeps[1][0] == sweeps[0][0], budget
             assert sweeps[1][1] == sweeps[0][1], budget
 
+    def test_two_singleton_report_matches_deciding_every_deletion(self, monkeypatch):
+        # two variables occurring once make the whole report true at once
+        # under a budget that covers the pattern's search tree; below one,
+        # each deletion is decided.  Every pattern is asked on both sides of
+        # its own tree bound and at the default budget, and those up to
+        # length 6 at every budget up to 100 (length 3's bound is 34).
+        patterns = [
+            p
+            for length in range(3, 9)
+            for p in enumerate_canonical_patterns(length, min_vars=3)
+            if list(p.multiplicities.values()).count(1) >= 2
+        ]
+        asked = {DEFAULT_BUDGET: patterns}
+        for p in patterns:
+            gate = solver._SEARCH_TREE_BOUND[len(p)]
+            for budget in {gate - 1, gate, *(range(1, 101) if len(p) <= 6 else ())}:
+                asked.setdefault(budget, []).append(p)
+        for budget, sweep in asked.items():
+            outcomes = []
+            for instance in (reference_billaud_instance, billaud_instance):
+                monkeypatch.setattr(solver, "_FP_CACHE", {})
+                outcomes.append([billaud_outcome(instance, p, budget) for p in sweep])
+            assert outcomes[1] == outcomes[0], budget
+        assert all(report.conjecture_instance_ok for report in outcomes[1])
+
     @pytest.mark.parametrize("budget", [1, 5, 60, DEFAULT_BUDGET])
     def test_renamed_input_gives_the_relabelled_report(self, monkeypatch, budget):
         # v -> 7 * (5v mod 11) is injective on 1..10, non-contiguous and out
@@ -323,7 +348,7 @@ class TestBillaudInstance:
         else:
             assert any(isinstance(outcome, str) for outcome in got)
 
-    @pytest.mark.parametrize("budget", [0, -3, 1e9, None])
+    @pytest.mark.parametrize("budget", [0, -3, 1e9, None, True])
     def test_bad_budget_is_rejected_before_any_shortcut(self, budget):
         pattern = parse_pattern("1 2 3 1 2")
         with pytest.raises(DomainError) as expected:

@@ -2,6 +2,7 @@ import functools
 import hashlib
 import itertools
 import json
+import multiprocessing
 
 import pytest
 
@@ -719,7 +720,8 @@ class TestConjectureScan:
             raise AssertionError("a pool was started")
 
         monkeypatch.setattr(explorer.os, "cpu_count", lambda: 3)
-        monkeypatch.setattr(explorer, "Pool", no_pool)
+        # the scan imports the pool from multiprocessing when it starts one
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
         with pytest.raises(DomainError, match="workers must be <= 3, the CPU count, got 4"):
             conjecture_scan(8, "theorem7", workers=4)
 

@@ -336,18 +336,94 @@ class TestFixedPointShortcuts:
         assert singletons > 0 and neighbourhoods > 0
 
     def test_reversal_answers_from_the_mirrored_entry(self, monkeypatch):
+        # a searched key holds (phi_items, nodes), a shortcut-answered one its
+        # bare verdict, and a singleton answer or a memo hit stores nothing
         expected = {p: isinstance(r, FixedPoint) for p, r in decided() if len(p) <= 8}
         monkeypatch.setattr(solver, "_FP_CACHE", {})
         mirrored = 0
         for pattern, fixed in expected.items():
             reverse = Pattern(pattern.symbols[::-1])
             assert fixed_point_verdict(reverse) == fixed
+            key = pattern.symbols
+            before = solver._FP_CACHE.get(key)
+            has_mirror = canonical_form(reverse).symbols in solver._FP_CACHE
             assert fixed_point_verdict(pattern) == fixed
-            if not certified(pattern) and pattern.symbols not in solver._FP_CACHE:
-                # neither a certificate nor a memo hit nor a search answered
+            after = solver._FP_CACHE.get(key)
+            if before is not None or (len(pattern) >= 2 and 1 in pattern.multiplicities.values()):
+                assert after is before, pattern
+            elif has_mirror:
+                # answered from the reversal's entry, and kept
                 mirrored += 1
-                assert canonical_form(reverse).symbols in solver._FP_CACHE
+                assert after is fixed, pattern
+            elif fixed_point_by_neighbourhoods(pattern) is not None:
+                assert after is True, pattern
+            else:
+                assert type(after) is tuple and (after[0] is not None) == fixed, pattern
         assert mirrored > 0
+
+    def test_warm_verdict_memo_leaves_witnesses_and_node_counts(self, monkeypatch):
+        patterns = [p for p, _ in decided() if len(p) <= 8]
+        asked = patterns + [Pattern(p.symbols[::-1]) for p in patterns]
+        cold = []
+        for pattern in asked:
+            monkeypatch.setattr(solver, "_FP_CACHE", {})
+            cold.append(is_fixed_point(pattern))
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        for pattern in asked:
+            fixed_point_verdict(pattern)
+        verdicts = [key for key, entry in solver._FP_CACHE.items() if type(entry) is bool]
+        assert verdicts
+        # a verdict-only entry carries no witness, so is_fixed_point searches
+        assert [is_fixed_point(pattern) for pattern in asked] == cold
+        assert all(type(solver._FP_CACHE[key]) is tuple for key in verdicts)
+
+    def test_verdict_entries_count_against_the_memo_limit(self, monkeypatch):
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        monkeypatch.setattr(solver, "_FP_CACHE_LIMIT", 0)
+        for pattern, result in decided():
+            if len(pattern) <= 8:
+                fixed = isinstance(result, FixedPoint)
+                assert fixed_point_verdict(pattern) == fixed
+                assert fixed_point_verdict(Pattern(pattern.symbols[::-1])) == fixed
+        assert solver._FP_CACHE == {}
+
+    def test_verdict_entries_answer_only_under_a_covering_budget(self, monkeypatch):
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        decisions = [(p, r) for p, r in decided() if len(p) <= 8]
+        for pattern, _ in decisions:
+            fixed_point_verdict(pattern)
+            fixed_point_verdict(Pattern(pattern.symbols[::-1]))
+        warm = dict(solver._FP_CACHE)
+        ran_out = 0
+        for pattern, result in decisions:
+            gate = solver._SEARCH_TREE_BOUND[len(pattern)]
+            held = type(warm.get(pattern.symbols)) is bool
+            for budget in {gate - 1, result.nodes_explored - 1} - {0}:
+                monkeypatch.setattr(solver, "_FP_CACHE", dict(warm))
+                verdict = fixed_point_verdict(pattern, budget=budget)
+                full = is_fixed_point(pattern, budget=budget)
+                assert (verdict is None) == isinstance(full, BudgetExhausted), (pattern, budget)
+                if verdict is None:
+                    ran_out += held
+                else:
+                    assert verdict == isinstance(full, FixedPoint)
+        # verdict entries were held for keys whose search runs out
+        assert ran_out > 0
+
+    def test_singleton_is_decided_before_canonicalising(self, monkeypatch):
+        def no_canonical(symbols):
+            raise AssertionError("a pattern with a variable occurring once was canonicalised")
+
+        singles = [
+            pattern
+            for pattern, _ in decided()
+            if len(pattern) >= 2 and 1 in pattern.multiplicities.values()
+        ]
+        monkeypatch.setattr(solver, "canonical_symbols", no_canonical)
+        for pattern in singles:
+            renamed = Pattern(tuple(7 * (5 * s % 11) for s in pattern.symbols))
+            assert fixed_point_verdict(pattern) is True
+            assert fixed_point_verdict(renamed) is True
 
     def test_budgets_below_the_tree_bound_get_the_search_verdict(self, monkeypatch):
         # no memo, so every verdict comes from a shortcut or a search
@@ -368,6 +444,24 @@ class TestFixedPointShortcuts:
                     assert verdict == isinstance(full, FixedPoint)
         assert certified_none > 0
         assert solver._FP_CACHE == {}
+
+
+def test_bool_budget_is_rejected():
+    # True would otherwise count as a budget of one node
+    budget = True
+    message = "budget must be a positive node count, got True"
+    single = parse_pattern("1 2 1")
+    calls = [
+        lambda: is_fixed_point(single, budget=budget),
+        lambda: fixed_point_verdict(single, budget=budget),
+        lambda: is_ambiguous(Morphism.parse("1=a,2=b"), parse_pattern("1 2 1 2"), budget=budget),
+        lambda: search_sigma_ij(parse_pattern("1 2 1 3 2 3"), budget=budget),
+        lambda: conjecture_scan(6, "conjecture3", budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError) as raised:
+            call()
+        assert str(raised.value) == message
 
 
 def result_in(phi: Substitution, candidates: list[Substitution]) -> bool:
