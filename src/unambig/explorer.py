@@ -20,7 +20,14 @@ from typing import Iterator
 from .conditions import BillaudReport, _billaud_report, _pair_clauses
 from .errors import BudgetError, DomainError, InconsistencyError, ResourceError
 from .morphisms import Morphism, merge_morphism
-from .solver import DEFAULT_BUDGET, _ambiguity_verdict, _key_verdict, _validate_budget, fixed_point_verdict
+from .solver import (
+    DEFAULT_BUDGET,
+    _ambiguity_verdict,
+    _covers_search_tree,
+    _key_verdict,
+    _validate_budget,
+    fixed_point_verdict,
+)
 from .words import ALPHABET, Pattern, _canonical_sequences, parse_pattern
 
 MAX_ENUMERATION_LENGTH = 16
@@ -68,18 +75,21 @@ def _sigma_ij_pair(pattern: Pattern, budget: int) -> tuple[int, int] | None:
 
     Each pair's merged image is the pattern spelt with one letter per
     variable, by rank as :func:`merge_morphism` assigns them, with j's
-    letter replaced by i's; the solver gives only its verdict.
+    letter replaced by i's; the solver gives only its verdict.  The image
+    is as long as the pattern, so a budget that covers the pattern's search
+    tree covers each solver run, which may then use the lookahead walk.
     """
     variables = sorted(pattern.variables)
     symbols = pattern.symbols
     letters = {var: ALPHABET[rank] for rank, var in enumerate(variables)}
     spelt = "".join([letters[s] for s in symbols])
     clauses = _pair_clauses(pattern)
+    lookahead = _covers_search_tree(len(symbols), budget)
     for i, j in combinations(variables, 2):
         if clauses(i, j)[-1]:
             return (i, j)
         merged = spelt.replace(letters[j], letters[i])
-        verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget)
+        verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget, lookahead)
         if verdict is None:
             raise BudgetError(f"solver run for the pair ({i}, {j}) exceeded {budget} nodes")
         if not verdict:
@@ -107,10 +117,13 @@ def search_1uniform(
     The check is :func:`fixed_point_verdict`: a pattern with a variable
     occurring once is answered before it is canonicalised, a renaming class
     is searched at most once, and not at all when a certificate or the memo
-    entry of the reversed pattern answers; such an answer is kept in the
-    memo as a bare verdict.  A check that runs out of budget falls through
-    to the sweep; so on a fixed point, a budget that covers the check but not
-    the sweep gives None, not BudgetError.
+    entry of the reversed pattern answers.  Under a budget that covers the
+    pattern's search tree the search prunes by occurrence lookahead, and its
+    answer, like a certificate's, is kept in the memo as a bare verdict.  A
+    check that runs out of budget falls through to the sweep; so on a fixed
+    point, a budget that covers the check but not the sweep gives None, not
+    BudgetError.  The colorings are decided by the plain walk (see
+    :func:`_first_unambiguous`).
 
     Colorings of the variables (ordered by first occurrence) are enumerated
     up to letter-renaming symmetry, which is lossless: ambiguity depends only
@@ -134,7 +147,12 @@ def _first_unambiguous(
     morphism is unambiguous with respect to the symbols, or None.  Colorings
     are canonical sequences: the i-th symbol is the letter number, from 1, of
     the i-th variable in first-occurrence order.  The image word is spelt
-    from the images, and the solver gives only its verdict."""
+    from the images, and the solver gives only its verdict.
+
+    The solver runs its plain walk, not the lookahead one that the pair
+    search uses: a coloring's word has few letters, so nearly every image
+    occurs again and the lookahead's test at each choice point costs more
+    than the nodes it saves."""
     ordered = tuple(dict.fromkeys(symbols))
     for coloring in colorings:
         images = dict(zip(ordered, [ALPHABET[c - 1] for c in coloring]))

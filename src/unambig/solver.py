@@ -24,6 +24,12 @@ counts them again in one step when the subtree opens at the same position.
 ``nodes_explored`` therefore counts candidates in the search tree, those of
 remembered subtrees included; on such decomposable patterns it no longer
 tracks time.
+
+A search that needs only a verdict, under a budget that covers its whole
+tree, may also stop each choice point at the longest image that occurs
+again later in the word (occurrence lookahead).  It yields the same
+assignments from fewer nodes, so no search that reports a node count or a
+witness uses it.
 """
 
 from __future__ import annotations
@@ -93,7 +99,12 @@ def _validate_budget(budget: int) -> None:
 
 
 def _iter_assignments(
-    symbols: tuple[int, ...], word: Sequence, min_len: int, counter: list[int], budget: float
+    symbols: tuple[int, ...],
+    word: Sequence,
+    min_len: int,
+    counter: list[int],
+    budget: float,
+    lookahead: bool = False,
 ) -> Iterator[dict]:
     """Yield every variable assignment whose pointwise image equals ``word``.
 
@@ -112,6 +123,14 @@ def _iter_assignments(
     with no yield since it opened leaves its node count in ``memo``; a later
     opening at the same position counts those nodes at once and is
     exhausted.
+
+    With ``lookahead``, for a str ``word``, a choice point of a slot that
+    occurs again, other than the last slot, stops at the longest image that
+    occurs in ``word`` again after its own end: a shorter image occurs
+    wherever a longer one does, and any image must occur again to match the
+    slot's next occurrence.  The yields and their order stay the same, but
+    fewer nodes are counted, so only a caller that needs no node count and
+    whose budget covers the whole tree may ask for it.
     """
     n = len(symbols)
     total = len(word)
@@ -200,6 +219,12 @@ def _iter_assignments(
                             raise _BudgetHit
                         nodes += dead
                         ln += dead
+                elif lookahead and occ > 1:
+                    # the empty image always occurs again
+                    top = 0
+                    while top < hi and word.find(word[q : q + top + 1], q + top + 1) >= 0:
+                        top += 1
+                    hi = top
                 break
             k = len(img)
             if word[q : q + k] != img:
@@ -280,15 +305,22 @@ def _differing_variable(assignment: dict, images) -> int | None:
 
 
 def _ambiguity_verdict(
-    symbols: tuple[int, ...], word: str, images: dict | Morphism, budget: int
+    symbols: tuple[int, ...],
+    word: str,
+    images: dict | Morphism,
+    budget: int,
+    lookahead: bool = False,
 ) -> bool | None:
     """Whether some assignment other than ``images`` maps the symbols onto
     ``word``, or None when the budget runs out first: the verdict of
     :func:`find_alternative` with ``images`` excluded and erasing allowed,
-    for a word that ``images`` produces, with no witness built."""
+    for a word that ``images`` produces, with no witness built.
+
+    ``lookahead`` is passed to the walk; the caller asks for it only when
+    the budget covers the whole search tree."""
     counter = [0]
     try:
-        for assignment in _iter_assignments(symbols, word, 0, counter, budget):
+        for assignment in _iter_assignments(symbols, word, 0, counter, budget, lookahead):
             if _differing_variable(assignment, images) is not None:
                 return True
     except _BudgetHit:
@@ -336,26 +368,29 @@ def enumerate_preimages(
     return out
 
 
-# A node of the fixed-point search is a tuple of image lengths for the first
-# k variables in first-occurrence order, k >= 1, and the lengths sum to at
-# most n, the pattern's length: with v <= n variables that is at most
+# A node of the search of a pattern of length n on a word of length n (the
+# pattern itself, or its image under a 1-uniform morphism) is a tuple of
+# image lengths for the first k variables in first-occurrence order, k >= 1,
+# and the lengths sum to at most n: with v <= n variables that is at most
 # C(n + v + 1, v) - 1 <= C(2n + 1, n) - 1 nodes.  Longer patterns than the
 # table covers would need a budget above 10**18.
 _SEARCH_TREE_BOUND = tuple(comb(2 * n + 1, n) - 1 for n in range(32))
 
 
 def _covers_search_tree(n: int, budget: int) -> bool:
-    """Whether the budget covers the whole fixed-point search tree of a
-    pattern of length n.  Within such a budget the search cannot run out, so
-    an exact shortcut gives what the search would."""
+    """Whether the budget covers the whole search tree of a pattern of
+    length n on a word of length n.  Within such a budget the search cannot
+    run out, so an exact shortcut or the lookahead walk gives what the
+    search would."""
     return n < len(_SEARCH_TREE_BOUND) and _SEARCH_TREE_BOUND[n] <= budget
 
 
 # Fixed-point verdicts are memoized by canonical form: scans ask about the
 # same short patterns (deleted-variable images in particular) over and over.
-# A searched key holds ``(phi_items, nodes)``; a key answered by a shortcut
-# holds its bare verdict, which answers only under a budget that covers the
-# key's search tree, as the shortcut did.
+# A key searched for a witness holds ``(phi_items, nodes)``; a key decided
+# under a budget that covers its search tree, by a shortcut or by the
+# lookahead walk, holds its bare verdict, which answers only under such a
+# budget.
 _FP_CACHE: dict[tuple[int, ...], tuple[tuple | None, int] | bool] = {}
 _FP_CACHE_LIMIT = 1 << 20
 
@@ -457,37 +492,49 @@ def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     """:func:`fixed_point_verdict` of a non-empty canonical key, for a valid
     budget.
 
-    A memo hit costs one lookup: nothing is computed before it.  Otherwise,
-    when the budget covers the whole search tree, the verdict comes without
-    a search from a variable occurring once, from the memo entry of the
-    reversed key or from :func:`fixed_point_by_neighbourhoods`.  The last two
-    answers are stored as verdict-only memo entries; a singleton answer is
-    cheaper than a lookup of the reversal and is not stored.  Every other
-    case runs the search, which stores its ``(phi_items, nodes)`` entry.
+    A memo hit costs one lookup and, for a verdict entry, one comparison
+    with the tree bound: nothing is computed before it.  Otherwise, when the
+    budget covers the whole search tree, the verdict comes from a variable
+    occurring once, from the memo entry of the reversed key, from
+    :func:`fixed_point_by_neighbourhoods` or else from the lookahead walk on
+    the key spelt as a str, whose node count no caller sees and which cannot
+    run out.  All but the singleton answer are stored as verdict-only memo
+    entries; a singleton answer is cheaper than a lookup of the reversal and
+    is not stored.  Under a budget that does not cover the tree the key is
+    searched as :func:`is_fixed_point` searches it, and the search stores its
+    ``(phi_items, nodes)`` entry.
     """
     entry = _FP_CACHE.get(key)
-    if type(entry) is tuple and entry[1] <= budget:
-        return entry[0] is not None
-    if _covers_search_tree(len(key), budget):
-        # a searched entry counts no more nodes than the tree holds, so it
-        # answered above: this one is a verdict
-        if entry is not None:
+    if type(entry) is bool:
+        # stored only under a covering budget, so the key is in the table
+        if _SEARCH_TREE_BOUND[len(key)] <= budget:
             return entry
-        if _has_singleton(key):
-            return True
-        # phi(alpha) = alpha iff the mirrored phi fixes alpha reversed
-        mirrored = _FP_CACHE.get(canonical_symbols(key[::-1]))
-        if mirrored is not None:
-            verdict = mirrored if type(mirrored) is bool else mirrored[0] is not None
-        elif _neighbourhood_certificate(key) is not None:
-            verdict = True
-        else:
-            verdict = None
-        if verdict is not None:
-            if len(_FP_CACHE) < _FP_CACHE_LIMIT:
-                _FP_CACHE[key] = verdict
-            return verdict
-    entry = _fixed_point_search(key, budget)
-    if isinstance(entry, BudgetExhausted):
-        return None
-    return entry[0] is not None
+    elif entry is not None and entry[1] <= budget:
+        return entry[0] is not None
+    if not _covers_search_tree(len(key), budget):
+        entry = _fixed_point_search(key, budget)
+        if isinstance(entry, BudgetExhausted):
+            return None
+        return entry[0] is not None
+    # a searched entry counts no more nodes than the tree holds, so any
+    # entry answered above
+    if _has_singleton(key):
+        return True
+    # phi(alpha) = alpha iff the mirrored phi fixes alpha reversed
+    mirrored = _FP_CACHE.get(canonical_symbols(key[::-1]))
+    if mirrored is not None:
+        verdict = mirrored if type(mirrored) is bool else mirrored[0] is not None
+    elif _neighbourhood_certificate(key) is not None:
+        verdict = True
+    else:
+        # the covering budget bounds the walk, so it is not counted against
+        # it; the identity is the one assignment with every image its own
+        # variable
+        word = "".join(map(chr, key))
+        verdict = any(
+            any(image != chr(var) for var, image in assignment.items())
+            for assignment in _iter_assignments(key, word, 0, [0], inf, True)
+        )
+    if len(_FP_CACHE) < _FP_CACHE_LIMIT:
+        _FP_CACHE[key] = verdict
+    return verdict

@@ -18,7 +18,7 @@ from unambig.morphisms import Morphism, Substitution
 from unambig.solver import DEFAULT_BUDGET
 from unambig.words import Pattern, parse_pattern
 
-from test_explorer import SCAN_DIGESTS
+from test_explorer import LONGER_SCAN_DIGESTS, SCAN_DIGESTS
 
 A0 = "1 2 3 1 3 2"
 A1 = "1 2 3 4 1 4 3 2"
@@ -457,6 +457,11 @@ class TestScan:
         assert "cmp c3.jsonl c3w2.jsonl\n" in job
         pinned = re.findall(r'echo "([0-9a-f]{64})  c3\.jsonl" \| sha256sum -c -', job)
         assert pinned == [SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET][1]]
+        # and the bytes of a theorem7 scan, whose pair search prunes by
+        # occurrence lookahead
+        assert "unambig scan --target theorem7 --max-len 10 --out t7.jsonl\n" in job
+        pinned = re.findall(r'echo "([0-9a-f]{64})  t7\.jsonl" \| sha256sum -c -', job)
+        assert pinned == [LONGER_SCAN_DIGESTS["theorem7", 10][1]]
 
     def test_worker_count_does_not_change_output(self, capsys, tmp_path):
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"

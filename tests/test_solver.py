@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
-from unambig.errors import DomainError
+from unambig.errors import BudgetError, DomainError
 from unambig import solver
 from unambig.checks import pair_theorem_checks, shortest_checks, thue_checks
 from unambig.conditions import billaud_instance, image_is_fixed_point
@@ -336,8 +336,9 @@ class TestFixedPointShortcuts:
         assert singletons > 0 and neighbourhoods > 0
 
     def test_reversal_answers_from_the_mirrored_entry(self, monkeypatch):
-        # a searched key holds (phi_items, nodes), a shortcut-answered one its
-        # bare verdict, and a singleton answer or a memo hit stores nothing
+        # under the default budget, which covers every search tree here, a
+        # key answered by a shortcut or searched holds its bare verdict, and a
+        # singleton answer or a memo hit stores nothing
         expected = {p: isinstance(r, FixedPoint) for p, r in decided() if len(p) <= 8}
         monkeypatch.setattr(solver, "_FP_CACHE", {})
         mirrored = 0
@@ -358,7 +359,7 @@ class TestFixedPointShortcuts:
             elif fixed_point_by_neighbourhoods(pattern) is not None:
                 assert after is True, pattern
             else:
-                assert type(after) is tuple and (after[0] is not None) == fixed, pattern
+                assert after is fixed, pattern
         assert mirrored > 0
 
     def test_warm_verdict_memo_leaves_witnesses_and_node_counts(self, monkeypatch):
@@ -679,6 +680,89 @@ class TestSolverCore:
         assert got == is_ambiguous(sigma, pattern)
         assert got.tau == Morphism.of({1: "a", 2: "", 3: "b", 4: "c"})
         assert got.differing_variable == 1
+
+
+PLAIN_WALK = solver._iter_assignments
+
+
+def plain_walk(symbols, word, min_len, counter, budget, lookahead=False):
+    """solver._iter_assignments with the lookahead refused."""
+    return PLAIN_WALK(symbols, word, min_len, counter, budget)
+
+
+def lookahead_words(pattern):
+    """Words to walk the pattern on with and without lookahead: the pattern
+    spelt as a str, its binary and ternary first-occurrence colorings and,
+    up to length 7 or when no variable occurs once, its image under every
+    pair-merging morphism.  The pair search walks only patterns with no
+    variable occurring once, since any other is a fixed point; at length 8
+    the others' merged images would take most of a minute."""
+    symbols = pattern.symbols
+    yield "".join(map(chr, symbols))
+    for letters in ("ab", "abc"):
+        yield "".join(letters[(v - 1) % len(letters)] for v in symbols)
+    if len(symbols) <= 7 or 1 not in pattern.multiplicities.values():
+        variables = sorted(pattern.variables)
+        for i, j in itertools.combinations(variables, 2):
+            yield merge_morphism(variables, i, j).apply(pattern)
+
+
+def sigma_ij_outcome(pattern, budget):
+    try:
+        return search_sigma_ij(pattern, budget=budget)
+    except BudgetError as error:
+        return str(error)
+
+
+class TestLookahead:
+    def test_lookahead_walk_yields_what_the_plain_walk_yields(self):
+        plain_nodes = lookahead_nodes = 0
+        for length in range(1, 9):
+            for pattern in enumerate_canonical_patterns(length):
+                for word in lookahead_words(pattern):
+                    plain, ahead = [0], [0]
+                    expected = list(PLAIN_WALK(pattern.symbols, word, 0, plain, inf))
+                    got = list(PLAIN_WALK(pattern.symbols, word, 0, ahead, inf, True))
+                    assert got == expected, (pattern, word)
+                    assert ahead[0] <= plain[0], (pattern, word)
+                    plain_nodes += plain[0]
+                    lookahead_nodes += ahead[0]
+        assert lookahead_nodes < plain_nodes
+
+    def test_budgets_that_do_not_cover_the_tree_get_the_plain_answer(self, monkeypatch):
+        # below the tree bound the verdict-only searches walk as the counted
+        # ones do, so they run out exactly where the plain walk runs out; at
+        # the bound they give the plain walk's answer
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        monkeypatch.setattr(solver, "_FP_CACHE_LIMIT", 0)
+        ran_out = 0
+        for length in range(4, 9):
+            for pattern in enumerate_canonical_patterns(length, min_vars=2, min_multiplicity=2):
+                totals = []
+
+                def counted(symbols, word, min_len, counter, budget, lookahead=False):
+                    try:
+                        yield from PLAIN_WALK(symbols, word, min_len, counter, budget)
+                    finally:
+                        totals.append(counter[0])
+
+                monkeypatch.setattr(solver, "_iter_assignments", counted)
+                search_sigma_ij(pattern)
+                gate = solver._SEARCH_TREE_BOUND[length]
+                budgets = {gate - 1, gate, *(nodes - 1 for nodes in totals)} - {0}
+                expected = {}
+                monkeypatch.setattr(solver, "_iter_assignments", plain_walk)
+                for budget in budgets:
+                    expected[budget] = (
+                        fixed_point_verdict(pattern, budget=budget),
+                        sigma_ij_outcome(pattern, budget),
+                    )
+                monkeypatch.setattr(solver, "_iter_assignments", PLAIN_WALK)
+                for budget in budgets:
+                    got = (fixed_point_verdict(pattern, budget=budget), sigma_ij_outcome(pattern, budget))
+                    assert got == expected[budget], (pattern, budget)
+                    ran_out += type(got[1]) is str
+        assert ran_out > 0
 
 
 # Images for the golden morphisms: variable v maps to images[(v - 1) % len].
