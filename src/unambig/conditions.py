@@ -2,9 +2,10 @@
 
 Each check here is a sound shortcut for a question the solver could settle by
 exhaustive search: a neighbourhood shape that forces a pattern to be a fixed
-point, a pair condition that forces the pair-merging morphism to be
-unambiguous, and a filter that rules a pair out because its image word is
-itself a fixed point.  The neighbourhood shape is defined in ``words``, since
+point and a pair condition that forces the pair-merging morphism to be
+unambiguous.  ``image_is_fixed_point`` is a public check the other way: a
+pair whose merged image word is itself a fixed point has an ambiguous
+pair-merging morphism.  The neighbourhood shape is defined in ``words``, since
 the solver uses it too, and re-exported here.
 """
 

@@ -387,11 +387,10 @@ def _covers_search_tree(n: int, budget: int) -> bool:
 
 # Fixed-point verdicts are memoized by canonical form: scans ask about the
 # same short patterns (deleted-variable images in particular) over and over.
-# A key searched for a witness holds ``(phi_items, nodes)``; a key decided
-# under a budget that covers its search tree, by a shortcut or by the
-# lookahead walk, holds its bare verdict, which answers only under such a
-# budget.
-_FP_CACHE: dict[tuple[int, ...], tuple[tuple | None, int] | bool] = {}
+# Only :func:`_key_verdict` reads or writes the memo, and it stores a verdict
+# only when the budget covers the key's search tree, so an entry answers only
+# under such a budget.
+_FP_CACHE: dict[tuple[int, ...], bool] = {}
 _FP_CACHE_LIMIT = 1 << 20
 
 
@@ -429,8 +428,8 @@ def _fixed_point_search(
 ) -> tuple[tuple | None, int] | BudgetExhausted:
     """Search the canonical key for a nontrivial fixed-point morphism.
 
-    A completed search gives the memo entry ``(phi_items, nodes)``, with
-    phi_items None off fixed points, and stores it.
+    A completed search gives ``(phi_items, nodes)``, with phi_items None off
+    fixed points.
     """
     counter = [0]
     found: tuple | None = None
@@ -442,10 +441,7 @@ def _fixed_point_search(
             break
     except _BudgetHit:
         return BudgetExhausted(nodes_explored=counter[0])
-    entry = (found, counter[0])
-    if len(_FP_CACHE) < _FP_CACHE_LIMIT:
-        _FP_CACHE[key] = entry
-    return entry
+    return found, counter[0]
 
 
 def is_fixed_point(
@@ -454,20 +450,18 @@ def is_fixed_point(
     """Decide whether the pattern is the fixed point of a nontrivial morphism.
 
     Runs the preimage search on the pattern read as a word over its own
-    variables, excluding the identity substitution.  Only a searched memo
-    entry answers; a verdict-only one carries no witness, so the key is
-    searched.
+    variables, excluding the identity substitution.  The key is always
+    searched: the memo holds verdicts without witnesses or node counts, and
+    this function neither reads nor writes it.
     """
     key = canonical_symbols(pattern.symbols)
     if not key:
         raise DomainError("the pattern must be non-empty")
     _validate_budget(budget)
-    entry = _FP_CACHE.get(key)
-    if type(entry) is not tuple or entry[1] > budget:
-        entry = _fixed_point_search(key, budget)
-        if isinstance(entry, BudgetExhausted):
-            return entry
-    return _fp_result(pattern, *entry)
+    searched = _fixed_point_search(key, budget)
+    if isinstance(searched, BudgetExhausted):
+        return searched
+    return _fp_result(pattern, *searched)
 
 
 def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bool | None:
@@ -492,38 +486,32 @@ def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     """:func:`fixed_point_verdict` of a non-empty canonical key, for a valid
     budget.
 
-    A memo hit costs one lookup and, for a verdict entry, one comparison
-    with the tree bound: nothing is computed before it.  Otherwise, when the
-    budget covers the whole search tree, the verdict comes from a variable
-    occurring once, from the memo entry of the reversed key, from
+    A memo hit costs one lookup and one comparison with the tree bound:
+    nothing is computed before it.  Otherwise, when the budget covers the
+    whole search tree, the verdict comes from a variable occurring once, from
+    the memo entry of the reversed key, from
     :func:`fixed_point_by_neighbourhoods` or else from the lookahead walk on
     the key spelt as a str, whose node count no caller sees and which cannot
-    run out.  All but the singleton answer are stored as verdict-only memo
-    entries; a singleton answer is cheaper than a lookup of the reversal and
-    is not stored.  Under a budget that does not cover the tree the key is
-    searched as :func:`is_fixed_point` searches it, and the search stores its
-    ``(phi_items, nodes)`` entry.
+    run out.  All but the singleton answer are stored in the memo; a
+    singleton answer is cheaper than a lookup of the reversal and is not
+    stored.  Under a budget that does not cover the tree the key is searched
+    as :func:`is_fixed_point` searches it, and nothing is stored.
     """
-    entry = _FP_CACHE.get(key)
-    if type(entry) is bool:
-        # stored only under a covering budget, so the key is in the table
-        if _SEARCH_TREE_BOUND[len(key)] <= budget:
-            return entry
-    elif entry is not None and entry[1] <= budget:
-        return entry[0] is not None
+    verdict = _FP_CACHE.get(key)
+    # stored only under a covering budget, so the key is in the table
+    if verdict is not None and _SEARCH_TREE_BOUND[len(key)] <= budget:
+        return verdict
     if not _covers_search_tree(len(key), budget):
-        entry = _fixed_point_search(key, budget)
-        if isinstance(entry, BudgetExhausted):
+        searched = _fixed_point_search(key, budget)
+        if isinstance(searched, BudgetExhausted):
             return None
-        return entry[0] is not None
-    # a searched entry counts no more nodes than the tree holds, so any
-    # entry answered above
+        return searched[0] is not None
     if _has_singleton(key):
         return True
     # phi(alpha) = alpha iff the mirrored phi fixes alpha reversed
     mirrored = _FP_CACHE.get(canonical_symbols(key[::-1]))
     if mirrored is not None:
-        verdict = mirrored if type(mirrored) is bool else mirrored[0] is not None
+        verdict = mirrored
     elif _neighbourhood_certificate(key) is not None:
         verdict = True
     else:

@@ -462,6 +462,14 @@ class TestScan:
         assert "unambig scan --target theorem7 --max-len 10 --out t7.jsonl\n" in job
         pinned = re.findall(r'echo "([0-9a-f]{64})  t7\.jsonl" \| sha256sum -c -', job)
         assert pinned == [LONGER_SCAN_DIGESTS["theorem7", 10][1]]
+        # and of a scan with budget hits, which exits 3 and stores no
+        # fixed-point search in the memo
+        assert (
+            "unambig scan --target conjecture3 --max-len 8 --budget 60 --out c3b60.jsonl || test $? -eq 3\n"
+            in job
+        )
+        pinned = re.findall(r'echo "([0-9a-f]{64})  c3b60\.jsonl" \| sha256sum -c -', job)
+        assert pinned == [SCAN_DIGESTS["conjecture3", 60][1]]
 
     def test_worker_count_does_not_change_output(self, capsys, tmp_path):
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"

@@ -198,7 +198,8 @@ class TestFixedPointVerdict:
         return Pattern(tuple(3 * (top + 1 - s) for s in pattern.symbols))
 
     def test_matches_is_fixed_point(self, monkeypatch):
-        # a fresh memo, so each side is checked on a miss and on a hit
+        # a fresh memo, so fixed_point_verdict is checked on a miss and on a
+        # hit; is_fixed_point has no memo and always searches
         monkeypatch.setattr(solver, "_FP_CACHE", {})
         for length in range(1, 9):
             for pattern in enumerate_canonical_patterns(length):
@@ -372,11 +373,48 @@ class TestFixedPointShortcuts:
         monkeypatch.setattr(solver, "_FP_CACHE", {})
         for pattern in asked:
             fixed_point_verdict(pattern)
-        verdicts = [key for key, entry in solver._FP_CACHE.items() if type(entry) is bool]
-        assert verdicts
-        # a verdict-only entry carries no witness, so is_fixed_point searches
+        warm = dict(solver._FP_CACHE)
+        assert warm
+        # a memo entry carries no witness, so is_fixed_point searches, and it
+        # leaves the memo as it found it
         assert [is_fixed_point(pattern) for pattern in asked] == cold
-        assert all(type(solver._FP_CACHE[key]) is tuple for key in verdicts)
+        assert solver._FP_CACHE == warm
+
+    @pytest.mark.parametrize("budget", [solver.DEFAULT_BUDGET, 3])
+    def test_is_fixed_point_never_touches_the_memo(self, monkeypatch, budget):
+        class Untouchable(dict):
+            def get(self, *args):
+                raise AssertionError("is_fixed_point read the memo")
+
+            def __contains__(self, key):
+                raise AssertionError("is_fixed_point read the memo")
+
+            def __setitem__(self, key, value):
+                raise AssertionError("is_fixed_point wrote the memo")
+
+        monkeypatch.setattr(solver, "_FP_CACHE", Untouchable())
+        for length in range(1, 9):
+            for pattern in enumerate_canonical_patterns(length):
+                is_fixed_point(pattern, budget=budget)
+
+    @pytest.mark.parametrize("budget", [5, 60, solver.DEFAULT_BUDGET])
+    def test_memo_holds_only_covered_verdicts(self, monkeypatch, budget):
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        for target in SCAN_TARGETS:
+            for _ in conjecture_scan(8, target, budget=budget):
+                pass
+        for pattern in ("1 2 3 1 3 2", "1 2 3 4 1 4 3 2", "1 2 1 3 2 3", "1 2 3 2 1 3 1 2 3"):
+            for sample in (billaud_instance, search_sigma_ij):
+                try:
+                    sample(parse_pattern(pattern), budget=budget)
+                except BudgetError:
+                    pass
+        # budgets 5 and 60 cover only keys of length <= 1 and <= 3, and none
+        # that short is stored by these calls
+        assert bool(solver._FP_CACHE) == (budget == solver.DEFAULT_BUDGET)
+        for key, verdict in solver._FP_CACHE.items():
+            assert type(verdict) is bool, key
+            assert solver._SEARCH_TREE_BOUND[len(key)] <= budget, key
 
     def test_verdict_entries_count_against_the_memo_limit(self, monkeypatch):
         monkeypatch.setattr(solver, "_FP_CACHE", {})
@@ -398,7 +436,7 @@ class TestFixedPointShortcuts:
         ran_out = 0
         for pattern, result in decisions:
             gate = solver._SEARCH_TREE_BOUND[len(pattern)]
-            held = type(warm.get(pattern.symbols)) is bool
+            held = pattern.symbols in warm
             for budget in {gate - 1, result.nodes_explored - 1} - {0}:
                 monkeypatch.setattr(solver, "_FP_CACHE", dict(warm))
                 verdict = fixed_point_verdict(pattern, budget=budget)
@@ -408,7 +446,7 @@ class TestFixedPointShortcuts:
                     ran_out += held
                 else:
                     assert verdict == isinstance(full, FixedPoint)
-        # verdict entries were held for keys whose search runs out
+        # memo entries were held for keys whose search runs out
         assert ran_out > 0
 
     def test_singleton_is_decided_before_canonicalising(self, monkeypatch):
