@@ -8,7 +8,7 @@ a decision that runs out of it is a BudgetError, never a failed check.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import combinations
 from typing import Iterable, Iterator
 
 from .conditions import _pair_clauses
@@ -120,7 +120,13 @@ def pair_theorem_checks(max_len: int) -> Iterator[Check]:
     an unambiguous merging morphism, on every canonical pattern of uniform
     multiplicity >= 2 up to ``max_len``.  A failure names the first
     violating pattern and pair.  A ``max_len`` beyond the enumeration guard
-    is a ResourceError before the first check, not after the sweep."""
+    is a ResourceError before the first check, not after the sweep.
+
+    Each pair i < j is solved once and counts for both orders, which is
+    exact: the pair condition is symmetric, and merge(j, i) is merge(i, j)
+    with one letter renamed, so the two morphisms have the same verdict.
+    Violations are then symmetric too, and since (i, j) precedes (j, i) for
+    i < j, the first violating ordered pair is the first violating i < j."""
     check_enumeration(max_len)
     patterns = checked_pairs = 0
     violation = None
@@ -133,10 +139,10 @@ def pair_theorem_checks(max_len: int) -> Iterator[Check]:
                     continue
                 patterns += 1
                 clauses = _pair_clauses(pattern)
-                for i, j in permutations(sorted(pattern.variables), 2):
+                for i, j in combinations(sorted(pattern.variables), 2):
                     if not clauses(i, j)[-1]:
                         continue
-                    checked_pairs += 1
+                    checked_pairs += 2
                     sigma = merge_morphism(pattern.variables, i, j)
                     if violation is None and not _unambiguous(sigma, pattern):
                         violation = f" (first violation: pattern {pattern}, pair ({i}, {j}))"

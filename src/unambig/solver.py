@@ -3,9 +3,10 @@
 A morphism sigma is ambiguous with respect to a pattern alpha iff some
 morphism tau agrees with sigma on alpha's image but not on alpha's variables;
 deciding that is a bounded search over all factorizations of the image word.
-The same search, run on a pattern read as a word over its own variables and
-excluding the identity, decides whether the pattern is a fixed point of a
-nontrivial morphism.
+A pattern is a fixed point of a nontrivial morphism iff the same question
+has an answer for the pattern read as a word over its own variables, with
+sigma the identity.  Every search of either kind takes its first
+alternative from the walk in one loop, :func:`_first_alternative`.
 
 The search is deterministic: variables are assigned in order of first
 occurrence, candidate image lengths ascend from 0 (or 1 when erasing images
@@ -263,8 +264,10 @@ def find_alternative(
     ``excluded`` on at least one of the pattern's variables.
 
     With no excluded morphism, any preimage counts and the witness carries no
-    differing variable.  Identical queries return identical results, witness
-    and node count included.
+    differing variable.  Otherwise the witness is the first alternative of
+    the walk, and its differing variable the least one it maps differently.
+    Identical queries return identical results, witness and node count
+    included.
     """
     if not pattern:
         raise DomainError("the pattern must be non-empty")
@@ -279,34 +282,40 @@ def find_alternative(
     counter = [0]
     min_len = 0 if allow_erasing else 1
     try:
-        for assignment in _iter_assignments(pattern.symbols, word, min_len, counter, budget):
-            differing = None
-            if excluded is not None:
-                differing = _differing_variable(assignment, excluded)
-                if differing is None:
-                    continue
-            return Witness(
-                tau=Morphism.of(assignment),
-                differing_variable=differing,
-                nodes_explored=counter[0],
-            )
+        found = _first_alternative(
+            _iter_assignments(pattern.symbols, word, min_len, counter, budget), excluded
+        )
     except _BudgetHit:
         return BudgetExhausted(nodes_explored=counter[0])
-    return NoWitness(nodes_explored=counter[0])
+    if found is None:
+        return NoWitness(nodes_explored=counter[0])
+    assignment, differing = found
+    return Witness(
+        tau=Morphism.of(assignment), differing_variable=differing, nodes_explored=counter[0]
+    )
 
 
-def _differing_variable(assignment: dict, images) -> int | None:
-    """The least variable whose image in the assignment differs from its
-    image under ``images``, or None when the two agree."""
-    for var in sorted(assignment):
-        if assignment[var] != images[var]:
-            return var
+def _first_alternative(
+    assignments: Iterator[dict], images: dict | Morphism | None
+) -> tuple[dict, int | None] | None:
+    """The first assignment of the walk that differs from ``images``, with
+    the least variable it maps differently, or None when the walk ends.
+
+    With ``images`` None the first assignment counts, with no differing
+    variable.  A _BudgetHit from the walk passes through.
+    """
+    for assignment in assignments:
+        if images is None:
+            return assignment, None
+        for var in sorted(assignment):
+            if assignment[var] != images[var]:
+                return assignment, var
     return None
 
 
 def _ambiguity_verdict(
     symbols: tuple[int, ...],
-    word: str,
+    word: Sequence,
     images: dict | Morphism,
     budget: int,
     lookahead: bool = False,
@@ -314,18 +323,17 @@ def _ambiguity_verdict(
     """Whether some assignment other than ``images`` maps the symbols onto
     ``word``, or None when the budget runs out first: the verdict of
     :func:`find_alternative` with ``images`` excluded and erasing allowed,
-    for a word that ``images`` produces, with no witness built.
+    for a word that ``images`` produces, with no witness built.  The word
+    may be a str or a tuple; with the identity images of a canonical key,
+    the key is the word and the verdict is the key's fixed-point verdict.
 
     ``lookahead`` is passed to the walk; the caller asks for it only when
     the budget covers the whole search tree."""
-    counter = [0]
     try:
-        for assignment in _iter_assignments(symbols, word, 0, counter, budget, lookahead):
-            if _differing_variable(assignment, images) is not None:
-                return True
+        walk = _iter_assignments(symbols, word, 0, [0], budget, lookahead)
+        return _first_alternative(walk, images) is not None
     except _BudgetHit:
         return None
-    return False
 
 
 def is_ambiguous(
@@ -408,14 +416,11 @@ def _has_singleton(symbols: tuple[int, ...]) -> bool:
     return 2 * len(distinct) > n or 1 in map(symbols.count, distinct)
 
 
-def _fp_result(
-    pattern: Pattern, phi_items: tuple | None, nodes: int
-) -> FixedPoint | NotFixedPoint:
-    if phi_items is None:
-        return NotFixedPoint(nodes_explored=nodes)
+def _fp_result(pattern: Pattern, assignment: dict, nodes: int) -> FixedPoint:
     orig = first_occurrence_order(pattern)
     mapping = {
-        orig[var - 1]: Pattern(tuple(orig[s - 1] for s in image)) for var, image in phi_items
+        orig[var - 1]: Pattern(tuple(orig[s - 1] for s in image))
+        for var, image in assignment.items()
     }
     differing = min(var for var, image in mapping.items() if image.symbols != (var,))
     return FixedPoint(
@@ -423,45 +428,32 @@ def _fp_result(
     )
 
 
-def _fixed_point_search(
-    key: tuple[int, ...], budget: int
-) -> tuple[tuple | None, int] | BudgetExhausted:
-    """Search the canonical key for a nontrivial fixed-point morphism.
-
-    A completed search gives ``(phi_items, nodes)``, with phi_items None off
-    fixed points.
-    """
-    counter = [0]
-    found: tuple | None = None
-    try:
-        for assignment in _iter_assignments(key, key, 0, counter, budget):
-            if all(image == (var,) for var, image in assignment.items()):
-                continue
-            found = tuple(sorted(assignment.items()))
-            break
-    except _BudgetHit:
-        return BudgetExhausted(nodes_explored=counter[0])
-    return found, counter[0]
-
-
 def is_fixed_point(
     pattern: Pattern, *, budget: int = DEFAULT_BUDGET
 ) -> FixedPoint | NotFixedPoint | BudgetExhausted:
     """Decide whether the pattern is the fixed point of a nontrivial morphism.
 
-    Runs the preimage search on the pattern read as a word over its own
-    variables, excluding the identity substitution.  The key is always
-    searched: the memo holds verdicts without witnesses or node counts, and
-    this function neither reads nor writes it.
+    This is the preimage search of the canonical key on itself, read as a
+    tuple word over its own variables, with the identity excluded: the
+    first alternative found is the witness substitution, renamed back to
+    the pattern's variables.  The key is always searched: the memo holds
+    verdicts without witnesses or node counts, and this function neither
+    reads nor writes it.
     """
     key = canonical_symbols(pattern.symbols)
     if not key:
         raise DomainError("the pattern must be non-empty")
     _validate_budget(budget)
-    searched = _fixed_point_search(key, budget)
-    if isinstance(searched, BudgetExhausted):
-        return searched
-    return _fp_result(pattern, *searched)
+    counter = [0]
+    try:
+        found = _first_alternative(
+            _iter_assignments(key, key, 0, counter, budget), {s: (s,) for s in key}
+        )
+    except _BudgetHit:
+        return BudgetExhausted(nodes_explored=counter[0])
+    if found is None:
+        return NotFixedPoint(nodes_explored=counter[0])
+    return _fp_result(pattern, found[0], counter[0])
 
 
 def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bool | None:
@@ -490,22 +482,22 @@ def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     nothing is computed before it.  Otherwise, when the budget covers the
     whole search tree, the verdict comes from a variable occurring once, from
     the memo entry of the reversed key, from
-    :func:`fixed_point_by_neighbourhoods` or else from the lookahead walk on
-    the key spelt as a str, whose node count no caller sees and which cannot
-    run out.  All but the singleton answer are stored in the memo; a
-    singleton answer is cheaper than a lookup of the reversal and is not
-    stored.  Under a budget that does not cover the tree the key is searched
-    as :func:`is_fixed_point` searches it, and nothing is stored.
+    :func:`fixed_point_by_neighbourhoods` or else from
+    :func:`_ambiguity_verdict` of the key spelt as a str, with the identity
+    excluded and the lookahead walk, whose node count no caller sees and
+    which cannot run out.  All but the singleton answer are stored in the
+    memo; a singleton answer is cheaper than a lookup of the reversal and is
+    not stored.  Under a budget that does not cover the tree the verdict is
+    ``_ambiguity_verdict(key, key, identity, budget)``, the plain walk on
+    the key as a tuple, which runs out exactly where :func:`is_fixed_point`
+    does; nothing is stored.
     """
     verdict = _FP_CACHE.get(key)
     # stored only under a covering budget, so the key is in the table
     if verdict is not None and _SEARCH_TREE_BOUND[len(key)] <= budget:
         return verdict
     if not _covers_search_tree(len(key), budget):
-        searched = _fixed_point_search(key, budget)
-        if isinstance(searched, BudgetExhausted):
-            return None
-        return searched[0] is not None
+        return _ambiguity_verdict(key, key, {s: (s,) for s in key}, budget)
     if _has_singleton(key):
         return True
     # phi(alpha) = alpha iff the mirrored phi fixes alpha reversed
@@ -515,13 +507,9 @@ def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     elif _neighbourhood_certificate(key) is not None:
         verdict = True
     else:
-        # the covering budget bounds the walk, so it is not counted against
-        # it; the identity is the one assignment with every image its own
-        # variable
-        word = "".join(map(chr, key))
-        verdict = any(
-            any(image != chr(var) for var, image in assignment.items())
-            for assignment in _iter_assignments(key, word, 0, [0], inf, True)
+        # the covering budget cannot run out, so the verdict is a bool
+        verdict = _ambiguity_verdict(
+            key, "".join(map(chr, key)), {s: chr(s) for s in key}, budget, lookahead=True
         )
     if len(_FP_CACHE) < _FP_CACHE_LIMIT:
         _FP_CACHE[key] = verdict

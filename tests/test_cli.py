@@ -445,7 +445,7 @@ class TestScan:
         assert out == "records: 5040\nfindings: 0\nbudget-hits: 0\n"
         assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET]
 
-    def test_console_script_job_checks_the_pinned_digest(self):
+    def test_console_script_job_checks_the_pinned_digest(self, capsys):
         # the CI job that installs the package checks the same scan's bytes
         # against its own copy of the digest
         workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
@@ -470,6 +470,18 @@ class TestScan:
         )
         pinned = re.findall(r'echo "([0-9a-f]{64})  c3b60\.jsonl" \| sha256sum -c -', job)
         assert pinned == [SCAN_DIGESTS["conjecture3", 60][1]]
+        # and one-line outputs, each compared with the text the job echoes,
+        # which the in-process CLI prints with the exit code the job allows
+        one_line = {
+            "pt.txt": ("verify pair-theorem --max-len 10", 0),
+            "fp.json": ('fixed-point --pattern "7 3 7 3 9 9 7 3 7 3" --json', 0),
+            "nfp.json": ('fixed-point --pattern "1 1 2 3 4 5 6 7 8 9 6 2 7 3 8 4 9 5" --json', 1),
+        }
+        for out_file, (args, code) in one_line.items():
+            allowed = f" || test $? -eq {code}" if code else ""
+            assert f"unambig {args} > {out_file}{allowed}\n" in job
+            (echoed,) = re.findall(rf"echo (.+) \| cmp - {re.escape(out_file)}\n", job)
+            assert run_cli(capsys, *shlex.split(args)) == (code, shlex.split(echoed)[0] + "\n", "")
 
     def test_worker_count_does_not_change_output(self, capsys, tmp_path):
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
@@ -602,6 +614,19 @@ class TestVerify:
             "ok: square-free morphism at m=4 uses only a, b, c",
             "FAIL: ternary square-free morphism unambiguous at m=4",
         ]
+
+    def test_pair_theorem_solves_each_unordered_pair_once(self, monkeypatch):
+        runs = []
+        verdict = checks._ambiguity_verdict
+
+        def counted(*args):
+            runs.append(args)
+            return verdict(*args)
+
+        monkeypatch.setattr(checks, "_ambiguity_verdict", counted)
+        ((ok, text),) = checks.pair_theorem_checks(8)
+        assert ok and runs
+        assert 2 * len(runs) == int(text.split()[0])
 
     def test_pair_theorem_failure_names_the_first_violation(self, capsys, monkeypatch):
         monkeypatch.setattr(checks, "_ambiguity_verdict", lambda symbols, word, images, budget: True)

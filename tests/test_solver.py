@@ -8,7 +8,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from unambig.errors import BudgetError, DomainError
-from unambig import solver
+from unambig import explorer, solver
 from unambig.checks import pair_theorem_checks, shortest_checks, thue_checks
 from unambig.conditions import billaud_instance, image_is_fixed_point
 from unambig.explorer import (
@@ -222,6 +222,26 @@ class TestFixedPointVerdict:
                     assert (verdict is None) == isinstance(full, BudgetExhausted)
                     if verdict is not None:
                         assert verdict == isinstance(full, FixedPoint)
+
+    def test_none_exactly_where_the_counted_search_runs_out(self):
+        # at the node count of is_fixed_point's own search and one below it,
+        # on keys no singleton answers, a budget below the tree bound runs
+        # out in both or in neither
+        checked = 0
+        for pattern, result in decided():
+            if len(pattern) > 8 or min(pattern.multiplicities.values()) < 2:
+                continue
+            n = result.nodes_explored
+            for budget in {n - 1, n} - {0}:
+                if budget >= solver._SEARCH_TREE_BOUND[len(pattern)]:
+                    continue
+                full = is_fixed_point(pattern, budget=budget)
+                assert (fixed_point_verdict(pattern, budget=budget) is None) == isinstance(
+                    full, BudgetExhausted
+                ), (pattern, budget)
+                assert isinstance(full, BudgetExhausted) == (budget < n)
+                checked += 1
+        assert checked > 0
 
     def test_bool_callers_build_no_witness(self, monkeypatch):
         def no_witness(*args, **kwargs):
@@ -718,6 +738,48 @@ class TestSolverCore:
         assert got == is_ambiguous(sigma, pattern)
         assert got.tau == Morphism.of({1: "a", 2: "", 3: "b", 4: "c"})
         assert got.differing_variable == 1
+
+    def test_every_search_takes_its_alternative_from_one_loop(self, monkeypatch):
+        # each search, ambiguity or fixed point, counted or verdict-only,
+        # hands its walk to solver._first_alternative exactly once
+        calls = []
+        core = solver._first_alternative
+
+        def counted(assignments, images):
+            calls.append(images)
+            return core(assignments, images)
+
+        def calls_of(run):
+            calls.clear()
+            run()
+            return len(calls)
+
+        monkeypatch.setattr(solver, "_first_alternative", counted)
+        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        pattern, sigma = shortest_non_fixed_point(4)
+        word = sigma.apply(pattern)
+        gate = solver._SEARCH_TREE_BOUND[len(pattern)]
+        assert calls_of(lambda: find_alternative(pattern, word)) == 1
+        assert calls_of(lambda: find_alternative(pattern, word, sigma)) == 1
+        assert calls_of(lambda: is_ambiguous(sigma, pattern)) == 1
+        assert calls_of(lambda: is_fixed_point(pattern)) == 1
+        # no shortcut answers this key, and the memo starts empty
+        assert calls_of(lambda: fixed_point_verdict(pattern)) == 1
+        assert calls_of(lambda: fixed_point_verdict(pattern, budget=gate - 1)) == 1
+        # the scans' solver runs, with their own fixed-point checks answered
+        # from the memo
+        runs = []
+        verdict = explorer._ambiguity_verdict
+
+        def run(*args):
+            runs.append(args)
+            return verdict(*args)
+
+        monkeypatch.setattr(explorer, "_ambiguity_verdict", run)
+        assert fixed_point_verdict(A0) is False
+        assert calls_of(lambda: search_sigma_ij(A0)) == len(runs) == 3
+        runs.clear()
+        assert calls_of(lambda: search_1uniform(pattern, 2)) == len(runs) == 4
 
 
 PLAIN_WALK = solver._iter_assignments
