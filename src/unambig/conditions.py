@@ -161,11 +161,12 @@ def billaud_instance(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> Billa
     is a fixed point, iff some u != v occurs once in the pattern.  The
     pattern itself is answered the same way when one of its variables
     occurs once, so when two occur once the whole report is true at once.
-    Such an answer is taken only when the budget covers the pattern's whole
-    search tree, and so each deletion's, where the search could not run out
-    either; it leaves no memo entry.  Every other deletion, and the pattern
-    itself, is decided as :func:`fixed_point_verdict` decides it, from its
-    canonical key.
+    Such an answer is taken only when the budget covers the search tree of
+    the deletion or the pattern it answers for, where the search could not
+    run out either; it leaves no entry in the verdict cache.  Every other
+    deletion, and the pattern itself, is looked up in that cache by its
+    canonical key and the budget, as :func:`fixed_point_verdict` looks it
+    up.
     """
     names = first_occurrence_order(pattern)
     if len(names) < 3:
@@ -181,16 +182,20 @@ def _billaud_report(key: tuple[int, ...], names: Sequence[int], budget: int) -> 
     # counts[r]: the occurrences of canonical symbol r
     counts = [key.count(r) for r in range(len(names) + 1)]
     singletons = counts.count(1)
-    # a deletion is shorter than the pattern, so its tree is covered too
     covered = _covers_search_tree(len(key), budget)
     if covered and singletons >= 2:
         # every deletion keeps a variable occurring once, and so does the
-        # pattern: all are fixed points
+        # pattern: all are fixed points; a deletion is shorter than the
+        # pattern, so its tree is covered too
         return BillaudReport(dict.fromkeys(sorted(names), True), True, True, True)
     delta_status: dict[int, bool] = {}
     for var, r in sorted(zip(names, count(1))):
-        # the deletion has a variable occurring once iff another one does
-        if covered and singletons > (counts[r] == 1):
+        # the deletion has a variable occurring once iff another one does,
+        # and that answers before the verdict cache when the budget covers
+        # the deletion's own tree
+        if singletons > (counts[r] == 1) and (
+            covered or _covers_search_tree(len(key) - counts[r], budget)
+        ):
             delta_status[var] = True
             continue
         deleted = tuple([s if s < r else s - 1 for s in key if s != r])

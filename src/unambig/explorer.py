@@ -24,6 +24,7 @@ from .solver import (
     DEFAULT_BUDGET,
     _ambiguity_verdict,
     _covers_search_tree,
+    _has_singleton,
     _key_verdict,
     _validate_budget,
     fixed_point_verdict,
@@ -115,14 +116,11 @@ def search_1uniform(
     Fixed points are rejected outright, since every nonerasing morphism is
     ambiguous there: the answer is None and no coloring reaches the solver.
     The check is :func:`fixed_point_verdict`: a pattern with a variable
-    occurring once is answered before it is canonicalised, a renaming class
-    is searched at most once, and not at all when a certificate or the memo
-    entry of the reversed pattern answers.  Under a budget that covers the
-    pattern's search tree the search prunes by occurrence lookahead, and its
-    answer, like a certificate's, is kept in the memo as a bare verdict.  A
-    check that runs out of budget falls through to the sweep; so on a fixed
-    point, a budget that covers the check but not the sweep gives None, not
-    BudgetError.  The colorings are decided by the plain walk (see
+    occurring once is answered before it is canonicalised, and any other
+    from the verdict cache of its canonical key and budget, where a key and
+    its mirror share one entry.  A check that runs out of budget falls
+    through to the sweep; so on a fixed point, a budget that covers the
+    check but not the sweep gives None, not BudgetError.  The colorings are decided by the plain walk (see
     :func:`_first_unambiguous`).
 
     Colorings of the variables (ordered by first occurrence) are enumerated
@@ -311,7 +309,11 @@ def _scan_pattern(key: tuple[int, ...], target: str, budget: int) -> ScanRecord:
                 finding=not report.conjecture_instance_ok,
                 billaud=report,
             )
-        alpha_fp = _key_verdict(key, budget)
+        # fixed_point_verdict without its checks and canonicalisation: a
+        # variable occurring once answers before the verdict cache
+        alpha_fp = (
+            _covers_search_tree(len(key), budget) and _has_singleton(key)
+        ) or _key_verdict(key, budget)
         if alpha_fp is None:
             raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
         if alpha_fp:
@@ -323,9 +325,10 @@ def _scan_pattern(key: tuple[int, ...], target: str, budget: int) -> ScanRecord:
             return ScanRecord(pattern, False, var_count, best_uniform_k=k, finding=k is None)
         pair = _sigma_ij_pair(pattern, budget)
     except BudgetError:
-        # the pattern's own verdict, None or a bool, asked for again: a memo
-        # hit, the same shortcut or the same search gives the same answer
-        return ScanRecord(pattern, _key_verdict(key, budget), var_count, budget_hit=True)
+        # the pattern's own verdict, None or a bool, asked for again: the
+        # singleton test or the cache answers
+        verdict = fixed_point_verdict(pattern, budget=budget)
+        return ScanRecord(pattern, verdict, var_count, budget_hit=True)
     if target == "theorem7" and pair is None:
         raise InconsistencyError(
             f"no unambiguous pair-merging morphism for the non-fixed-point pattern {pattern}"

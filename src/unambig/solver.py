@@ -31,11 +31,16 @@ tree, may also stop each choice point at the longest image that occurs
 again later in the word (occurrence lookahead).  It yields the same
 assignments from fewer nodes, so no search that reports a node count or a
 witness uses it.
+
+A fixed-point verdict without a witness is a pure function of the canonical
+key and the budget, so it is cached, bounded, for the life of the process
+(:func:`_key_verdict`); a key and its mirror share the entry of the lesser.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, inf
 from typing import Iterator, Sequence
 
@@ -393,15 +398,6 @@ def _covers_search_tree(n: int, budget: int) -> bool:
     return n < len(_SEARCH_TREE_BOUND) and _SEARCH_TREE_BOUND[n] <= budget
 
 
-# Fixed-point verdicts are memoized by canonical form: scans ask about the
-# same short patterns (deleted-variable images in particular) over and over.
-# Only :func:`_key_verdict` reads or writes the memo, and it stores a verdict
-# only when the budget covers the key's search tree, so an entry answers only
-# under such a budget.
-_FP_CACHE: dict[tuple[int, ...], bool] = {}
-_FP_CACHE_LIMIT = 1 << 20
-
-
 def _has_singleton(symbols: tuple[int, ...]) -> bool:
     """Whether some variable occurs exactly once in symbols of length >= 2,
     which makes them a fixed point: phi(x) = the pattern for that x, phi(y)
@@ -436,9 +432,9 @@ def is_fixed_point(
     This is the preimage search of the canonical key on itself, read as a
     tuple word over its own variables, with the identity excluded: the
     first alternative found is the witness substitution, renamed back to
-    the pattern's variables.  The key is always searched: the memo holds
-    verdicts without witnesses or node counts, and this function neither
-    reads nor writes it.
+    the pattern's variables.  The key is always searched: the cache of
+    :func:`_key_verdict` holds verdicts without witnesses or node counts, and
+    this function neither reads nor writes it.
     """
     key = canonical_symbols(pattern.symbols)
     if not key:
@@ -463,7 +459,7 @@ def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bo
     The same decision as :func:`is_fixed_point`, but no witness substitution
     is built.  When the budget covers the whole search tree, a variable
     occurring once answers first, before the pattern is canonicalised.
-    Otherwise the canonical key is decided by :func:`_key_verdict`.
+    Otherwise the answer is :func:`_key_verdict` of the canonical key.
     """
     symbols = pattern.symbols
     if not symbols:
@@ -474,43 +470,34 @@ def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bo
     return _key_verdict(canonical_symbols(symbols), budget)
 
 
+# Scans ask about the same short keys (deleted-variable images in particular)
+# over and over, so the verdicts are cached per canonical key and budget for
+# the life of the process.  A variable occurring once answers before the
+# cache, which would otherwise fill with keys that cost less to answer than
+# to look up.
+@lru_cache(maxsize=1 << 20)
 def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     """:func:`fixed_point_verdict` of a non-empty canonical key, for a valid
-    budget.
+    budget; every caller answers a variable occurring once itself, under a
+    budget that covers the search tree.
 
-    A memo hit costs one lookup and one comparison with the tree bound:
-    nothing is computed before it.  Otherwise, when the budget covers the
-    whole search tree, the verdict comes from a variable occurring once, from
-    the memo entry of the reversed key, from
-    :func:`fixed_point_by_neighbourhoods` or else from
+    Under a budget that does not cover the whole search tree the verdict is
+    ``_ambiguity_verdict(key, key, identity, budget)``, the plain walk on the
+    key as a tuple, which runs out exactly where :func:`is_fixed_point` does.
+    Under a covering budget the key answers through the lesser of itself and
+    its mirror, since phi fixes alpha iff the mirrored phi fixes alpha
+    reversed.  The lesser key is decided by
+    :func:`fixed_point_by_neighbourhoods` or else by
     :func:`_ambiguity_verdict` of the key spelt as a str, with the identity
-    excluded and the lookahead walk, whose node count no caller sees and
-    which cannot run out.  All but the singleton answer are stored in the
-    memo; a singleton answer is cheaper than a lookup of the reversal and is
-    not stored.  Under a budget that does not cover the tree the verdict is
-    ``_ambiguity_verdict(key, key, identity, budget)``, the plain walk on
-    the key as a tuple, which runs out exactly where :func:`is_fixed_point`
-    does; nothing is stored.
+    excluded and the lookahead walk, which cannot run out.
     """
-    verdict = _FP_CACHE.get(key)
-    # stored only under a covering budget, so the key is in the table
-    if verdict is not None and _SEARCH_TREE_BOUND[len(key)] <= budget:
-        return verdict
     if not _covers_search_tree(len(key), budget):
         return _ambiguity_verdict(key, key, {s: (s,) for s in key}, budget)
-    if _has_singleton(key):
+    mirrored = canonical_symbols(key[::-1])
+    if mirrored < key:
+        return _key_verdict(mirrored, budget)
+    if _neighbourhood_certificate(key) is not None:
         return True
-    # phi(alpha) = alpha iff the mirrored phi fixes alpha reversed
-    mirrored = _FP_CACHE.get(canonical_symbols(key[::-1]))
-    if mirrored is not None:
-        verdict = mirrored
-    elif _neighbourhood_certificate(key) is not None:
-        verdict = True
-    else:
-        # the covering budget cannot run out, so the verdict is a bool
-        verdict = _ambiguity_verdict(
-            key, "".join(map(chr, key)), {s: chr(s) for s in key}, budget, lookahead=True
-        )
-    if len(_FP_CACHE) < _FP_CACHE_LIMIT:
-        _FP_CACHE[key] = verdict
-    return verdict
+    return _ambiguity_verdict(
+        key, "".join(map(chr, key)), {s: chr(s) for s in key}, budget, lookahead=True
+    )

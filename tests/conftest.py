@@ -1,4 +1,4 @@
-"""Shared oracles and strategies.
+"""Shared oracles, strategies and fixtures.
 
 The oracles here are deliberately naive: they enumerate image-length
 compositions exhaustively and accept a candidate only through an
@@ -10,8 +10,10 @@ from __future__ import annotations
 from itertools import product
 
 import hypothesis.strategies as st
+import pytest
 from hypothesis import HealthCheck, settings
 
+from unambig import solver
 from unambig.morphisms import Morphism, Substitution
 from unambig.words import Pattern
 
@@ -22,6 +24,13 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def cold_verdict_cache():
+    """Each test starts with an empty fixed-point verdict cache, so what it
+    counts or compares does not depend on the tests run before it."""
+    solver._key_verdict.cache_clear()
 
 
 def oracle_preimages(pattern: Pattern, word: str, *, allow_erasing: bool = True) -> list[Morphism]:

@@ -462,14 +462,21 @@ class TestScan:
         assert "unambig scan --target theorem7 --max-len 10 --out t7.jsonl\n" in job
         pinned = re.findall(r'echo "([0-9a-f]{64})  t7\.jsonl" \| sha256sum -c -', job)
         assert pinned == [LONGER_SCAN_DIGESTS["theorem7", 10][1]]
-        # and of a scan with budget hits, which exits 3 and stores no
-        # fixed-point search in the memo
+        # and of a scan with budget hits, which exits 3 and keeps each
+        # fixed-point outcome in the verdict cache under its own budget, and
+        # the same scan with two workers, each with its own cache, to the
+        # same bytes
         assert (
             "unambig scan --target conjecture3 --max-len 8 --budget 60 --out c3b60.jsonl || test $? -eq 3\n"
             in job
         )
         pinned = re.findall(r'echo "([0-9a-f]{64})  c3b60\.jsonl" \| sha256sum -c -', job)
         assert pinned == [SCAN_DIGESTS["conjecture3", 60][1]]
+        assert (
+            "unambig scan --target conjecture3 --max-len 8 --budget 60 --workers 2 --out c3b60w2.jsonl"
+            " || test $? -eq 3\n" in job
+        )
+        assert "cmp c3b60.jsonl c3b60w2.jsonl\n" in job
         # and one-line outputs, each compared with the text the job echoes,
         # which the in-process CLI prints with the exit code the job allows
         one_line = {
@@ -483,21 +490,17 @@ class TestScan:
             (echoed,) = re.findall(rf"echo (.+) \| cmp - {re.escape(out_file)}\n", job)
             assert run_cli(capsys, *shlex.split(args)) == (code, shlex.split(echoed)[0] + "\n", "")
 
-    def test_worker_count_does_not_change_output(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "max_len,budget", [("6", []), ("7", ["--budget", "60"])], ids=["default", "budget-60"]
+    )
+    def test_worker_count_does_not_change_output(self, capsys, tmp_path, max_len, budget):
+        # at budget 60 some searches of length 7 run out, and each worker
+        # keeps its own verdict cache of the outcomes
         serial, parallel = tmp_path / "serial.jsonl", tmp_path / "parallel.jsonl"
-        run_cli(capsys, "scan", "--target", "conjecture3", "--max-len", "6", "--out", str(serial))
-        run_cli(
-            capsys,
-            "scan",
-            "--target",
-            "conjecture3",
-            "--max-len",
-            "6",
-            "--out",
-            str(parallel),
-            "--workers",
-            "2",
-        )
+        scan = ["scan", "--target", "conjecture3", "--max-len", max_len, *budget]
+        serial_code = run_cli(capsys, *scan, "--out", str(serial))[0]
+        parallel_code = run_cli(capsys, *scan, "--out", str(parallel), "--workers", "2")[0]
+        assert serial_code == parallel_code == (3 if budget else 0)
         assert serial.read_bytes() == parallel.read_bytes()
 
     def test_length_guard(self, capsys, tmp_path):

@@ -279,20 +279,21 @@ class TestBillaudInstance:
         ]
         + [pytest.param([DEFAULT_BUDGET], id="default")],
     )
-    def test_matches_deciding_every_deletion(self, monkeypatch, budgets):
+    def test_matches_deciding_every_deletion(self, budgets):
         # the shortcut must give the same report or BudgetError as the search
-        # on each deletion, and leave the memo as the search path leaves it
+        # on each deletion, and leave the verdict cache as the search path
+        # leaves it
         patterns = [p for length in range(3, 9) for p in enumerate_canonical_patterns(length, min_vars=3)]
         for budget in budgets:
             sweeps = []
             for instance in (reference_billaud_instance, billaud_instance):
-                monkeypatch.setattr(solver, "_FP_CACHE", {})
+                solver._key_verdict.cache_clear()
                 outcomes = [billaud_outcome(instance, p, budget) for p in patterns]
-                sweeps.append((outcomes, solver._FP_CACHE))
+                sweeps.append((outcomes, solver._key_verdict.cache_info()))
             assert sweeps[1][0] == sweeps[0][0], budget
             assert sweeps[1][1] == sweeps[0][1], budget
 
-    def test_two_singleton_report_matches_deciding_every_deletion(self, monkeypatch):
+    def test_two_singleton_report_matches_deciding_every_deletion(self):
         # two variables occurring once make the whole report true at once
         # under a budget that covers the pattern's search tree; below one,
         # each deletion is decided.  Every pattern is asked on both sides of
@@ -312,13 +313,13 @@ class TestBillaudInstance:
         for budget, sweep in asked.items():
             outcomes = []
             for instance in (reference_billaud_instance, billaud_instance):
-                monkeypatch.setattr(solver, "_FP_CACHE", {})
+                solver._key_verdict.cache_clear()
                 outcomes.append([billaud_outcome(instance, p, budget) for p in sweep])
             assert outcomes[1] == outcomes[0], budget
         assert all(report.conjecture_instance_ok for report in outcomes[1])
 
     @pytest.mark.parametrize("budget", [1, 5, 60, DEFAULT_BUDGET])
-    def test_renamed_input_gives_the_relabelled_report(self, monkeypatch, budget):
+    def test_renamed_input_gives_the_relabelled_report(self, budget):
         # v -> 7 * (5v mod 11) is injective on 1..10, non-contiguous and out
         # of order, so sorted variables differ from first-occurrence order
         patterns = [p for length in range(3, 9) for p in enumerate_canonical_patterns(length, min_vars=3)]
@@ -329,7 +330,7 @@ class TestBillaudInstance:
             (billaud_instance, renamed),
             (billaud_instance, patterns),
         ):
-            monkeypatch.setattr(solver, "_FP_CACHE", {})
+            solver._key_verdict.cache_clear()
             sweeps.append([billaud_outcome(instance, p, budget) for p in sweep])
         expected, got, canonical = sweeps
         for pattern, want, report, own in zip(renamed, expected, got, canonical):

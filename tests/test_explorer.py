@@ -187,12 +187,11 @@ def test_golden_explorer_digest():
 
 class TestSearchSigmaIj:
     @pytest.mark.parametrize("length", range(2, 8))
-    def test_same_answers_as_with_the_merged_image_filter(self, monkeypatch, length):
+    def test_same_answers_as_with_the_merged_image_filter(self, length):
         # a nontrivial phi fixing the merged image makes phi o sigma an
         # alternative, so the solver finds every pair the filter settled
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
         expected = sigma_ij_outcomes(filtered_search_sigma_ij, length)
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        solver._key_verdict.cache_clear()
         assert sigma_ij_outcomes(search_sigma_ij, length) == expected
 
     def test_eight_symbol_example(self):
@@ -617,6 +616,22 @@ class TestConjectureScan:
     def test_longer_scan_output_is_pinned(self, target, max_len):
         assert scan_digest(max_len, target, DEFAULT_BUDGET) == LONGER_SCAN_DIGESTS[target, max_len]
 
+    def test_second_scan_under_a_small_budget_searches_nothing(self, monkeypatch):
+        # every fixed-point outcome of a conjecture3 scan, budget hits
+        # included, stays in the verdict cache, so the same scan again in
+        # the same process runs no search and writes the same bytes
+        assert scan_digest(8, "conjecture3", 60) == SCAN_DIGESTS["conjecture3", 60]
+        searches = []
+        search = solver._ambiguity_verdict
+
+        def counted(*args, **kwargs):
+            searches.append(args)
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_ambiguity_verdict", counted)
+        assert scan_digest(8, "conjecture3", 60) == SCAN_DIGESTS["conjecture3", 60]
+        assert searches == []
+
     @pytest.mark.parametrize("target", SCAN_TARGETS)
     def test_one_pattern_per_record(self, monkeypatch, target):
         # the scans decide canonical keys: the record's Pattern is the only one
@@ -627,7 +642,6 @@ class TestConjectureScan:
             built.append(self)
             post_init(self)
 
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
         monkeypatch.setattr(Pattern, "__post_init__", counted)
         records = list(conjecture_scan(8, target))
         assert len(built) == len(records)
@@ -648,7 +662,6 @@ class TestConjectureScan:
 
             return recorded
 
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
         monkeypatch.setattr(explorer, "_pair_clauses", recording)
         for target, max_len in (("conjecture2", 9), ("theorem7", 10)):
             searched = len(asked)

@@ -197,15 +197,14 @@ class TestFixedPointVerdict:
         top = max(pattern.symbols)
         return Pattern(tuple(3 * (top + 1 - s) for s in pattern.symbols))
 
-    def test_matches_is_fixed_point(self, monkeypatch):
-        # a fresh memo, so fixed_point_verdict is checked on a miss and on a
-        # hit; is_fixed_point has no memo and always searches
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
+    def test_matches_is_fixed_point(self):
+        # a cold verdict cache, so fixed_point_verdict is checked on a miss
+        # and on a hit; is_fixed_point has no cache and always searches
         for length in range(1, 9):
             for pattern in enumerate_canonical_patterns(length):
                 verdict = fixed_point_verdict(pattern)
                 assert verdict == isinstance(is_fixed_point(pattern), FixedPoint)
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        solver._key_verdict.cache_clear()
         for length in range(1, 9):
             for pattern in enumerate_canonical_patterns(length):
                 copy = self.renamed(pattern)
@@ -243,12 +242,35 @@ class TestFixedPointVerdict:
                 checked += 1
         assert checked > 0
 
+    def test_warm_cache_gives_the_cold_verdict_at_every_budget(self):
+        # each verdict asked from a cold cache, then again once the cache
+        # holds it and its mirror: the same answer, and is_fixed_point's
+        asked = []
+        for pattern, result in decided():
+            if len(pattern) > 8:
+                continue
+            gate = solver._SEARCH_TREE_BOUND[len(pattern)]
+            for budget in {5, 60, gate - 1, result.nodes_explored - 1, solver.DEFAULT_BUDGET} - {0}:
+                full = is_fixed_point(pattern, budget=budget)
+                expected = None if isinstance(full, BudgetExhausted) else isinstance(full, FixedPoint)
+                solver._key_verdict.cache_clear()
+                assert fixed_point_verdict(pattern, budget=budget) == expected, (pattern, budget)
+                asked.append((pattern, budget, expected))
+        solver._key_verdict.cache_clear()
+        for pattern, budget, _ in asked:
+            fixed_point_verdict(Pattern(pattern.symbols[::-1]), budget=budget)
+            fixed_point_verdict(pattern, budget=budget)
+        warm = solver._key_verdict.cache_info()
+        for pattern, budget, expected in asked:
+            assert fixed_point_verdict(pattern, budget=budget) == expected, (pattern, budget)
+        assert solver._key_verdict.cache_info().misses == warm.misses
+        assert {expected for _, _, expected in asked} == {None, False, True}
+
     def test_bool_callers_build_no_witness(self, monkeypatch):
         def no_witness(*args, **kwargs):
             raise AssertionError("a bool-only caller built a witness or a morphism")
 
         monkeypatch.setattr(solver, "_fp_result", no_witness)
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
         a0 = parse_pattern("1 2 3 1 3 2")
         a1 = parse_pattern("1 2 3 4 1 4 3 2")
         assert billaud_instance(a0).conjecture_instance_ok
@@ -356,109 +378,157 @@ class TestFixedPointShortcuts:
                 assert isinstance(result, FixedPoint), pattern
         assert singletons > 0 and neighbourhoods > 0
 
-    def test_reversal_answers_from_the_mirrored_entry(self, monkeypatch):
-        # under the default budget, which covers every search tree here, a
-        # key answered by a shortcut or searched holds its bare verdict, and a
-        # singleton answer or a memo hit stores nothing
+    def test_reversal_answers_from_the_mirrored_entry(self):
+        # under the default budget, which covers every search tree here, the
+        # pattern asked after its reversal is one cache hit, taken through
+        # the lesser of the two keys, and a singleton answer never reaches
+        # the cache
         expected = {p: isinstance(r, FixedPoint) for p, r in decided() if len(p) <= 8}
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
         mirrored = 0
         for pattern, fixed in expected.items():
+            solver._key_verdict.cache_clear()
             reverse = Pattern(pattern.symbols[::-1])
             assert fixed_point_verdict(reverse) == fixed
-            key = pattern.symbols
-            before = solver._FP_CACHE.get(key)
-            has_mirror = canonical_form(reverse).symbols in solver._FP_CACHE
+            before = solver._key_verdict.cache_info()
             assert fixed_point_verdict(pattern) == fixed
-            after = solver._FP_CACHE.get(key)
-            if before is not None or (len(pattern) >= 2 and 1 in pattern.multiplicities.values()):
-                assert after is before, pattern
-            elif has_mirror:
-                # answered from the reversal's entry, and kept
+            after = solver._key_verdict.cache_info()
+            if len(pattern) >= 2 and 1 in pattern.multiplicities.values():
+                assert before.currsize == 0 and after == before, pattern
+                continue
+            assert after.hits == before.hits + 1, pattern
+            if canonical_form(reverse) != pattern:
                 mirrored += 1
-                assert after is fixed, pattern
-            elif fixed_point_by_neighbourhoods(pattern) is not None:
-                assert after is True, pattern
+                # a miss on the greater key, whose entry points to the lesser
+                greater = pattern.symbols > canonical_form(reverse).symbols
+                assert after.misses == before.misses + greater, pattern
+                assert after.currsize == before.currsize + greater, pattern
             else:
-                assert after is fixed, pattern
+                assert after.misses == before.misses, pattern
         assert mirrored > 0
 
-    def test_warm_verdict_memo_leaves_witnesses_and_node_counts(self, monkeypatch):
+    def test_a_key_and_its_mirror_run_one_search(self, monkeypatch):
+        # whichever of the two is asked first, the other is answered from
+        # the cache: one certificate check, and a search only without one
+        certificates, searches = [], []
+        certificate, search = solver._neighbourhood_certificate, solver._ambiguity_verdict
+
+        def counted_certificate(key):
+            certificates.append(key)
+            return certificate(key)
+
+        def counted_search(*args, **kwargs):
+            searches.append(args[0])
+            return search(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "_neighbourhood_certificate", counted_certificate)
+        monkeypatch.setattr(solver, "_ambiguity_verdict", counted_search)
+        asked = 0
+        for pattern, result in decided():
+            if len(pattern) > 8 or 1 in pattern.multiplicities.values():
+                continue
+            solver._key_verdict.cache_clear()
+            certificates.clear()
+            searches.clear()
+            mirror = canonical_form(Pattern(pattern.symbols[::-1]))
+            fixed = isinstance(result, FixedPoint)
+            assert fixed_point_verdict(pattern) == fixed_point_verdict(mirror) == fixed
+            assert len(certificates) == 1, pattern
+            assert len(searches) == (certificate(certificates[0]) is None), pattern
+            asked += 1
+        assert asked > 0
+
+    def test_warm_verdict_memo_leaves_witnesses_and_node_counts(self):
         patterns = [p for p, _ in decided() if len(p) <= 8]
         asked = patterns + [Pattern(p.symbols[::-1]) for p in patterns]
         cold = []
         for pattern in asked:
-            monkeypatch.setattr(solver, "_FP_CACHE", {})
+            solver._key_verdict.cache_clear()
             cold.append(is_fixed_point(pattern))
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
+        solver._key_verdict.cache_clear()
         for pattern in asked:
             fixed_point_verdict(pattern)
-        warm = dict(solver._FP_CACHE)
-        assert warm
-        # a memo entry carries no witness, so is_fixed_point searches, and it
-        # leaves the memo as it found it
+        warm = solver._key_verdict.cache_info()
+        assert warm.currsize > 0
+        # a cache entry carries no witness, so is_fixed_point searches, and
+        # it neither reads nor fills the cache
         assert [is_fixed_point(pattern) for pattern in asked] == cold
-        assert solver._FP_CACHE == warm
+        assert solver._key_verdict.cache_info() == warm
 
     @pytest.mark.parametrize("budget", [solver.DEFAULT_BUDGET, 3])
     def test_is_fixed_point_never_touches_the_memo(self, monkeypatch, budget):
-        class Untouchable(dict):
-            def get(self, *args):
-                raise AssertionError("is_fixed_point read the memo")
+        def untouchable(*args):
+            raise AssertionError("is_fixed_point asked the verdict cache")
 
-            def __contains__(self, key):
-                raise AssertionError("is_fixed_point read the memo")
-
-            def __setitem__(self, key, value):
-                raise AssertionError("is_fixed_point wrote the memo")
-
-        monkeypatch.setattr(solver, "_FP_CACHE", Untouchable())
+        cache = solver._key_verdict
+        monkeypatch.setattr(solver, "_key_verdict", untouchable)
         for length in range(1, 9):
             for pattern in enumerate_canonical_patterns(length):
                 is_fixed_point(pattern, budget=budget)
+        assert cache.cache_info().misses == cache.cache_info().currsize == 0
 
     @pytest.mark.parametrize("budget", [5, 60, solver.DEFAULT_BUDGET])
-    def test_memo_holds_only_covered_verdicts(self, monkeypatch, budget):
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
-        for target in SCAN_TARGETS:
-            for _ in conjecture_scan(8, target, budget=budget):
-                pass
-        for pattern in ("1 2 3 1 3 2", "1 2 3 4 1 4 3 2", "1 2 1 3 2 3", "1 2 3 2 1 3 1 2 3"):
-            for sample in (billaud_instance, search_sigma_ij):
-                try:
-                    sample(parse_pattern(pattern), budget=budget)
-                except BudgetError:
-                    pass
-        # budgets 5 and 60 cover only keys of length <= 1 and <= 3, and none
-        # that short is stored by these calls
-        assert bool(solver._FP_CACHE) == (budget == solver.DEFAULT_BUDGET)
-        for key, verdict in solver._FP_CACHE.items():
-            assert type(verdict) is bool, key
-            assert solver._SEARCH_TREE_BOUND[len(key)] <= budget, key
+    def test_scans_keep_verdicts_under_every_budget(self, budget):
+        # an entry answers only for its own budget, so outcomes under a
+        # budget that covers few search trees are kept too, and a second
+        # pass asks nothing the first did not leave in the cache
+        def run():
+            records = [
+                record.to_json() for target in SCAN_TARGETS for record in conjecture_scan(8, target, budget=budget)
+            ]
+            for pattern in ("1 2 3 1 3 2", "1 2 3 4 1 4 3 2", "1 2 1 3 2 3", "1 2 3 2 1 3 1 2 3"):
+                for sample in (billaud_instance, search_sigma_ij):
+                    try:
+                        records.append(repr(sample(parse_pattern(pattern), budget=budget)))
+                    except BudgetError as error:
+                        records.append(str(error))
+            return records
 
-    def test_verdict_entries_count_against_the_memo_limit(self, monkeypatch):
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
-        monkeypatch.setattr(solver, "_FP_CACHE_LIMIT", 0)
+        first = run()
+        warm = solver._key_verdict.cache_info()
+        assert warm.currsize > 0
+        assert run() == first
+        again = solver._key_verdict.cache_info()
+        assert (again.misses, again.currsize) == (warm.misses, warm.currsize)
+        assert again.hits > warm.hits
+
+    def test_cache_holds_one_entry_per_key_and_budget(self):
+        # the bound of the cache replaces a count of stored verdicts; entries
+        # under different budgets do not answer for each other
+        assert solver._key_verdict.cache_info().maxsize == 1 << 20
+        pattern = parse_pattern("1 2 2 1")
+        gate = solver._SEARCH_TREE_BOUND[len(pattern)]
+        outcomes = []
+        for budget in (gate, gate - 1, 1, gate, gate - 1, 1):
+            full = is_fixed_point(pattern, budget=budget)
+            outcomes.append(None if isinstance(full, BudgetExhausted) else isinstance(full, FixedPoint))
+            assert solver._key_verdict(pattern.symbols, budget) == outcomes[-1]
+        assert outcomes == [False, False, None] * 2
+        assert solver._key_verdict.cache_info()[:2] == (3, 3)
+
+    @pytest.mark.parametrize("maxsize", [0, 1, 16])
+    def test_verdicts_stay_exact_under_any_cache_bound(self, monkeypatch, maxsize):
+        # with room for few entries or none, every verdict is still exact,
+        # the mirror's included, and the cache never holds more than its bound
+        bounded = lru_cache(maxsize=maxsize)(solver._key_verdict.__wrapped__)
+        monkeypatch.setattr(solver, "_key_verdict", bounded)
         for pattern, result in decided():
             if len(pattern) <= 8:
                 fixed = isinstance(result, FixedPoint)
                 assert fixed_point_verdict(pattern) == fixed
                 assert fixed_point_verdict(Pattern(pattern.symbols[::-1])) == fixed
-        assert solver._FP_CACHE == {}
+                assert bounded.cache_info().currsize <= maxsize
+        assert bounded.cache_info().misses > 0
 
-    def test_verdict_entries_answer_only_under_a_covering_budget(self, monkeypatch):
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
+    def test_verdict_entries_answer_only_under_a_covering_budget(self):
         decisions = [(p, r) for p, r in decided() if len(p) <= 8]
         for pattern, _ in decisions:
             fixed_point_verdict(pattern)
             fixed_point_verdict(Pattern(pattern.symbols[::-1]))
-        warm = dict(solver._FP_CACHE)
         ran_out = 0
         for pattern, result in decisions:
             gate = solver._SEARCH_TREE_BOUND[len(pattern)]
-            held = pattern.symbols in warm
+            held = 1 not in pattern.multiplicities.values()
             for budget in {gate - 1, result.nodes_explored - 1} - {0}:
-                monkeypatch.setattr(solver, "_FP_CACHE", dict(warm))
                 verdict = fixed_point_verdict(pattern, budget=budget)
                 full = is_fixed_point(pattern, budget=budget)
                 assert (verdict is None) == isinstance(full, BudgetExhausted), (pattern, budget)
@@ -466,7 +536,7 @@ class TestFixedPointShortcuts:
                     ran_out += held
                 else:
                     assert verdict == isinstance(full, FixedPoint)
-        # memo entries were held for keys whose search runs out
+        # the default budget's entries were held for keys whose search runs out
         assert ran_out > 0
 
     def test_singleton_is_decided_before_canonicalising(self, monkeypatch):
@@ -484,10 +554,9 @@ class TestFixedPointShortcuts:
             assert fixed_point_verdict(pattern) is True
             assert fixed_point_verdict(renamed) is True
 
-    def test_budgets_below_the_tree_bound_get_the_search_verdict(self, monkeypatch):
-        # no memo, so every verdict comes from a shortcut or a search
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
-        monkeypatch.setattr(solver, "_FP_CACHE_LIMIT", 0)
+    def test_budgets_below_the_tree_bound_get_the_search_verdict(self):
+        # each key is asked once per budget, none of which covers its tree,
+        # so every verdict comes from a search, none from the cache
         certified_none = 0
         for pattern, result in decided():
             if len(pattern) > 8:
@@ -502,7 +571,7 @@ class TestFixedPointShortcuts:
                 else:
                     assert verdict == isinstance(full, FixedPoint)
         assert certified_none > 0
-        assert solver._FP_CACHE == {}
+        assert solver._key_verdict.cache_info().hits == 0
 
 
 def test_bool_budget_is_rejected():
@@ -755,7 +824,6 @@ class TestSolverCore:
             return len(calls)
 
         monkeypatch.setattr(solver, "_first_alternative", counted)
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
         pattern, sigma = shortest_non_fixed_point(4)
         word = sigma.apply(pattern)
         gate = solver._SEARCH_TREE_BOUND[len(pattern)]
@@ -763,11 +831,11 @@ class TestSolverCore:
         assert calls_of(lambda: find_alternative(pattern, word, sigma)) == 1
         assert calls_of(lambda: is_ambiguous(sigma, pattern)) == 1
         assert calls_of(lambda: is_fixed_point(pattern)) == 1
-        # no shortcut answers this key, and the memo starts empty
+        # no shortcut answers this key, and the cache starts empty
         assert calls_of(lambda: fixed_point_verdict(pattern)) == 1
         assert calls_of(lambda: fixed_point_verdict(pattern, budget=gate - 1)) == 1
         # the scans' solver runs, with their own fixed-point checks answered
-        # from the memo
+        # from the cache
         runs = []
         verdict = explorer._ambiguity_verdict
 
@@ -833,8 +901,6 @@ class TestLookahead:
         # below the tree bound the verdict-only searches walk as the counted
         # ones do, so they run out exactly where the plain walk runs out; at
         # the bound they give the plain walk's answer
-        monkeypatch.setattr(solver, "_FP_CACHE", {})
-        monkeypatch.setattr(solver, "_FP_CACHE_LIMIT", 0)
         ran_out = 0
         for length in range(4, 9):
             for pattern in enumerate_canonical_patterns(length, min_vars=2, min_multiplicity=2):
@@ -851,12 +917,15 @@ class TestLookahead:
                 gate = solver._SEARCH_TREE_BOUND[length]
                 budgets = {gate - 1, gate, *(nodes - 1 for nodes in totals)} - {0}
                 expected = {}
+                # each phase decides every key afresh, not from the cache
+                solver._key_verdict.cache_clear()
                 monkeypatch.setattr(solver, "_iter_assignments", plain_walk)
                 for budget in budgets:
                     expected[budget] = (
                         fixed_point_verdict(pattern, budget=budget),
                         sigma_ij_outcome(pattern, budget),
                     )
+                solver._key_verdict.cache_clear()
                 monkeypatch.setattr(solver, "_iter_assignments", PLAIN_WALK)
                 for budget in budgets:
                     got = (fixed_point_verdict(pattern, budget=budget), sigma_ij_outcome(pattern, budget))
