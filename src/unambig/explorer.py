@@ -84,10 +84,14 @@ def _sigma_ij_pair(pattern: Pattern, budget: int) -> tuple[int, int] | None:
     symbols = pattern.symbols
     letters = {var: ALPHABET[rank] for rank, var in enumerate(variables)}
     spelt = "".join([letters[s] for s in symbols])
-    clauses = _pair_clauses(pattern)
+    # no pair passes the pair condition unless every variable occurs the
+    # same m >= 2 times
+    multiplicities = set(pattern.multiplicities.values())
+    uniform = len(multiplicities) == 1 and min(multiplicities) >= 2
+    clauses = _pair_clauses(pattern) if uniform else None
     lookahead = _covers_search_tree(len(symbols), budget)
     for i, j in combinations(variables, 2):
-        if clauses(i, j)[-1]:
+        if clauses is not None and clauses(i, j)[-1]:
             return (i, j)
         merged = spelt.replace(letters[j], letters[i])
         verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget, lookahead)

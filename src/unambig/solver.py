@@ -11,11 +11,12 @@ alternative from the walk in one loop, :func:`_first_alternative`.
 The search is deterministic: variables are assigned in order of first
 occurrence, candidate image lengths ascend from 0 (or 1 when erasing images
 are disallowed), and pruning never changes the order in which solutions
-appear.  One node is one candidate image counted for an unassigned variable;
-the last variable's candidates that cannot end on the word's end are counted
-without being tried.  The search walks the pattern with an explicit stack of
-choice points, one per assigned variable, so its depth is bounded by memory,
-not by the interpreter's recursion limit.
+appear.  One node is one candidate image counted for an unassigned variable.
+The last variable opens no choice point: at most one of its lengths can end
+on the word's end, so all its candidates are counted in one step and only
+that length is tried.  The search walks the pattern with an explicit stack
+of choice points, one per assigned variable but the last, so its depth is
+bounded by memory, not by the interpreter's recursion limit.
 
 Where the pattern splits as alpha = beta gamma with no variable in both
 halves, the search below the first variable of gamma depends only on the
@@ -117,18 +118,20 @@ def _iter_assignments(
     ``word`` may be a str or a tuple; images are slices of it.  Candidates are
     pruned by remaining-length feasibility: the unassigned occurrences in the
     suffix must be able to stretch (or shrink) to exactly the remaining word.
-    One node is one candidate image counted.  The last variable's candidates
-    that cannot end on the word's end are counted without being tried.
-    ``counter[0]`` holds the node count whenever an assignment is yielded and
-    when the search ends; counting a node beyond ``budget`` raises _BudgetHit
-    with ``counter[0] == budget``.
+    One node is one candidate image counted.  The last slot opens no choice
+    point: its candidates are counted in one step, and only the length that
+    ends on the word's end, when whole, is tried.  ``counter[0]`` holds the
+    node count whenever an assignment is yielded and when the search ends;
+    counting a node beyond ``budget`` raises _BudgetHit with
+    ``counter[0] == budget``.
 
     A cut slot's first occurrence follows every occurrence of every earlier
     slot, so the subtree of its choice point reads no earlier image and is
     a function of the word position alone.  A cut choice point exhausted
     with no yield since it opened leaves its node count in ``memo``; a later
     opening at the same position counts those nodes at once and is
-    exhausted.
+    exhausted.  The last slot's count is a function of the position too,
+    found in one step, so it keeps no memo entry.
 
     With ``lookahead``, for a str ``word``, a choice point of a slot that
     occurs again, other than the last slot, stops at the longest image that
@@ -159,7 +162,18 @@ def _iter_assignments(
             pending += counts[s]
             seen += 1
         pending -= 1
+    if not order:
+        # the empty pattern maps onto the empty word alone
+        counter[0] = 0
+        if not total:
+            yield {}
+        return
+    # the last slot opens no choice point, so its cut flag is never read and
+    # it keeps no memo entry; it occurs lo times, and under reach its longest
+    # image is (span - reach) // lo
     last = len(order) - 1
+    lo = counts[last]
+    span = total + lo * min_len
     if min_len * n > total:
         counter[0] = 0
         return
@@ -185,21 +199,41 @@ def _iter_assignments(
     yielded = -1
     # p, q: positions in symbols and word; reach: the least length of the
     # word under the current assignment.  hi keeps reach <= total, so the walk
-    # needs no length check, and once the last variable is assigned reach is
-    # the exact length, equal to total.
+    # needs no length check.
     p, q, reach = 0, 0, min_len * n
     while True:
-        # walk forward over assigned variables to a mismatch, a complete
-        # assignment or the next unassigned variable, which opens a choice point
+        # walk forward over assigned variables to a mismatch or the next
+        # unassigned variable, which opens a choice point unless it is the last
         while True:
-            if p == n:
-                if q == total:
-                    counter[0] = yielded = nodes
-                    yield dict(zip(order, images))
-                break
             s = idx[p]
             img = images[s]
             if img is None:
+                if s == last:
+                    # Of the last slot's lengths min_len..k, only rem / lo,
+                    # when whole, gives reach == total: all are counted at
+                    # once and that one alone is tried.  Every symbol is then
+                    # assigned, so the rest of the walk is a check that needs
+                    # no choice point.
+                    rem = span - reach
+                    k = rem // lo
+                    nodes += k - min_len + 1
+                    if nodes > budget:
+                        counter[0] = budget
+                        raise _BudgetHit
+                    if k * lo == rem:
+                        images[s] = word[q : q + k]
+                        q += k
+                        for p in range(p + 1, n):
+                            img = images[idx[p]]
+                            k = len(img)
+                            if word[q : q + k] != img:
+                                break
+                            q += k
+                        else:
+                            counter[0] = yielded = nodes
+                            yield dict(zip(order, images))
+                        images[s] = None
+                    break
                 if cut[s]:
                     known = memo.get((s, q))
                     if known is not None:
@@ -214,18 +248,7 @@ def _iter_assignments(
                 base = reach - occ * min_len
                 cp, cq, x, ln = p, q, s, min_len - 1
                 hi = (total - base) // occ
-                if s == last:
-                    # Only the length (total - base) / occ reaches the word's
-                    # end; the shorter candidates, and hi when that length is
-                    # not whole, are counted without being tried.
-                    dead = hi - ln - ((total - base) % occ == 0)
-                    if dead:
-                        if nodes + dead > budget:
-                            counter[0] = budget
-                            raise _BudgetHit
-                        nodes += dead
-                        ln += dead
-                elif lookahead and occ > 1:
+                if lookahead and occ > 1:
                     # the empty image always occurs again
                     top = 0
                     while top < hi and word.find(word[q : q + top + 1], q + top + 1) >= 0:

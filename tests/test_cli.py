@@ -483,6 +483,11 @@ class TestScan:
             "pt.txt": ("verify pair-theorem --max-len 10", 0),
             "fp.json": ('fixed-point --pattern "7 3 7 3 9 9 7 3 7 3" --json', 0),
             "nfp.json": ('fixed-point --pattern "1 1 2 3 4 5 6 7 8 9 6 2 7 3 8 4 9 5" --json', 1),
+            "amb.json": (
+                'check-ambiguity --pattern "1 1 2 3 4 5 6 7 8 9 6 2 7 3 8 4 9 5" '
+                '--morphism "1=a,2=a,3=a,4=a,5=a,6=b,7=b,8=b,9=b" --json',
+                0,
+            ),
         }
         for out_file, (args, code) in one_line.items():
             allowed = f" || test $? -eq {code}" if code else ""

@@ -648,31 +648,57 @@ class TestConjectureScan:
 
     def test_pair_core_asks_each_unordered_pair_once(self, monkeypatch):
         # the mirrored pair (j, i) merges to the same word up to renaming, so
-        # the pair core asks the pair condition only about i < j, in order
-        asked = []
+        # the pair core tries only the pairs i < j, in order; it builds the
+        # pair condition only where every variable occurs the same m >= 2
+        # times, since no pair of any other pattern passes
+        tried = []
+        built = []
+        core = explorer._sigma_ij_pair
+        verdict = explorer._ambiguity_verdict
+
+        def searched(pattern, budget):
+            tried.append([])
+            return core(pattern, budget)
 
         def recording(pattern):
             clauses = _pair_clauses(pattern)
-            calls = []
-            asked.append(calls)
+            built.append(pattern)
 
             def recorded(i, j):
-                calls.append((i, j))
+                tried[-1].append((i, j))
                 return clauses(i, j)
 
             return recorded
 
+        def run(symbols, word, images, budget, lookahead=False):
+            # the merged image gives j the letter of i
+            variables = sorted(set(symbols))
+            (j,) = [v for rank, v in enumerate(variables) if images[v] != ALPHABET[rank]]
+            pair = (variables[ALPHABET.index(images[j])], j)
+            if tried[-1][-1:] != [pair]:
+                tried[-1].append(pair)
+            return verdict(symbols, word, images, budget, lookahead)
+
+        monkeypatch.setattr(explorer, "_sigma_ij_pair", searched)
         monkeypatch.setattr(explorer, "_pair_clauses", recording)
+        monkeypatch.setattr(explorer, "_ambiguity_verdict", run)
         for target, max_len in (("conjecture2", 9), ("theorem7", 10)):
-            searched = len(asked)
+            before = len(tried), len(built)
             records = list(conjecture_scan(max_len, target))
-            assert len(asked) - searched == sum(record.is_fixed_point is False for record in records)
-        for calls in asked:
-            assert all(i < j for i, j in calls)
-            assert calls == sorted(set(calls))
+            searches = [record for record in records if record.is_fixed_point is False]
+            uniform = [
+                record for record in searches if len(set(record.pattern.multiplicities.values())) == 1
+            ]
+            assert len(tried) - before[0] == len(searches)
+            assert built[before[1] :] == [record.pattern for record in uniform]
+            if target == "theorem7":
+                assert uniform == searches
+        for pairs in tried:
+            assert all(i < j for i, j in pairs)
+            assert pairs == sorted(set(pairs))
         # up to length 8 every pattern stops at some pair (1, j); here some
         # go past them all, to where (2, 1) would come in pair order
-        assert any(calls[-1][0] > 1 for calls in asked)
+        assert any(pairs[-1][0] > 1 for pairs in tried)
 
     def test_theorem7_smallest_length(self):
         records = list(conjecture_scan(8, "theorem7"))

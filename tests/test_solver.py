@@ -756,9 +756,9 @@ def solver_core_inputs():
 def decomposable_inputs():
     """Patterns that split into blocks with no variable in common: each
     squares pattern 1 1 ... m m for m <= 6 under the square-free morphism,
-    its binary first-occurrence image and its own symbols, and
-    concatenations of small blocks under their own symbols and their binary
-    and ternary first-occurrence images."""
+    its binary first-occurrence image and its own symbols, concatenations of
+    small blocks under their own symbols and their binary and ternary
+    first-occurrence images, and two whose last block is the last slot."""
     for m in range(1, 7):
         pattern = squares_pattern(m)
         yield pattern.symbols, thue_morphism(m).apply(pattern)
@@ -769,6 +769,11 @@ def decomposable_inputs():
         yield symbols, symbols
         for letters in ("ab", "abc"):
             yield symbols, "".join(letters[(v - 1) % len(letters)] for v in symbols)
+    # the last slot, 3, is a cut slot opened again at the same word position
+    # for other images of 1 and 2; with min_len = 1 the one length of it that
+    # could end on the word's end is never whole, so it is never tried
+    for text, word in (("1 2 1 2 3 3", "ababababa"), ("1 2 1 2 3 3 3", "abababab")):
+        yield parse_pattern(text).symbols, word
 
 
 def assert_matches_reference(symbols, word, every_budget_up_to):
@@ -794,6 +799,22 @@ class TestSolverCore:
     def test_remembered_subtrees_match_the_reference(self):
         for symbols, word in decomposable_inputs():
             assert_matches_reference(symbols, word, 2000)
+
+    def test_long_fresh_prefixes_match_the_reference(self):
+        # the shortest non-fixed points open most slots on a fresh stretch of
+        # the word, so the last slot counts many candidates in one step;
+        # every budget crosses that step's boundary somewhere
+        for n in range(2, 7):
+            pattern, sigma = shortest_non_fixed_point(n)
+            key = canonical_form(pattern).symbols
+            assert_matches_reference(key, key, inf)
+            assert_matches_reference(pattern.symbols, sigma.apply(pattern), inf)
+
+    def test_empty_pattern_matches_the_reference(self):
+        # no slot at all, so no last slot: {} is the one preimage of ""
+        for word in ("", "a"):
+            assert_matches_reference((), word, inf)
+        assert run_search(solver._iter_assignments, (), "", 0, inf) == ([({}, 0)], "done", 0)
 
     def test_excluded_assignment_inside_a_remembered_block(self, monkeypatch):
         # sigma's own assignment is the one solution of the block 3 3 4 4
@@ -978,6 +999,19 @@ SQUARES_NODES = {17: 1376237, 18: 2883564, 19: 6029291, 20: 12582890}
 def test_squares_pattern_node_counts(m):
     result = is_ambiguous(thue_morphism(m), squares_pattern(m))
     assert result == NoWitness(nodes_explored=SQUARES_NODES[m])
+
+
+# Node counts of the deep-decisions workload's longest searches, fixed point
+# and ambiguity, on the shortest non-fixed points.
+SHORTEST_NODES = {9: (68076, 87379), 10: (352715, 352715)}
+
+
+@pytest.mark.parametrize("n", sorted(SHORTEST_NODES))
+def test_shortest_non_fixed_point_node_counts(n):
+    pattern, sigma = shortest_non_fixed_point(n)
+    fixed_nodes, ambiguity_nodes = SHORTEST_NODES[n]
+    assert is_fixed_point(pattern) == NotFixedPoint(nodes_explored=fixed_nodes)
+    assert is_ambiguous(sigma, pattern) == NoWitness(nodes_explored=ambiguity_nodes)
 
 
 def test_squares_pattern_runs_out_of_the_default_budget():
