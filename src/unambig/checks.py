@@ -8,10 +8,9 @@ a decision that runs out of it is a BudgetError, never a failed check.
 
 from __future__ import annotations
 
-from itertools import combinations
 from typing import Iterable, Iterator
 
-from .conditions import _pair_clauses
+from .conditions import candidate_pairs
 from .errors import BudgetError, DomainError, ResourceError
 from .explorer import check_enumeration, enumerate_canonical_patterns, search_1uniform
 from .generators import (
@@ -138,10 +137,7 @@ def pair_theorem_checks(max_len: int) -> Iterator[Check]:
                 if _fixed_point(pattern):
                     continue
                 patterns += 1
-                clauses = _pair_clauses(pattern)
-                for i, j in combinations(sorted(pattern.variables), 2):
-                    if not clauses(i, j)[-1]:
-                        continue
+                for i, j in candidate_pairs(pattern):
                     checked_pairs += 2
                     sigma = merge_morphism(pattern.variables, i, j)
                     if violation is None and not _unambiguous(sigma, pattern):

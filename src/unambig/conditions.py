@@ -5,8 +5,10 @@ exhaustive search: a neighbourhood shape that forces a pattern to be a fixed
 point and a pair condition that forces the pair-merging morphism to be
 unambiguous.  ``image_is_fixed_point`` is a public check the other way: a
 pair whose merged image word is itself a fixed point has an ambiguous
-pair-merging morphism.  The neighbourhood shape is defined in ``words``, since
-the solver uses it too, and re-exported here.
+pair-merging morphism.  The neighbourhood shape is defined in ``words``, next
+to :func:`~unambig.words.neighbourhoods`, and re-exported here.  The solver does
+not use it: its search decides the same keys, and over every key of a length
+the check costs more than the searches it saves.
 """
 
 from __future__ import annotations

@@ -76,9 +76,9 @@ def _sigma_ij_pair(pattern: Pattern, budget: int) -> tuple[int, int] | None:
 
     Each pair's merged image is the pattern spelt with one letter per
     variable, by rank as :func:`merge_morphism` assigns them, with j's
-    letter replaced by i's; the solver gives only its verdict.  The image
-    is as long as the pattern, so a budget that covers the pattern's search
-    tree covers each solver run, which may then use the lookahead walk.
+    letter replaced by i's; the solver gives only its verdict.  Each run
+    asks for the lookahead walk, which the solver takes only under a budget
+    that covers the search tree, since the image is as long as the pattern.
     """
     variables = sorted(pattern.variables)
     symbols = pattern.symbols
@@ -89,12 +89,11 @@ def _sigma_ij_pair(pattern: Pattern, budget: int) -> tuple[int, int] | None:
     multiplicities = set(pattern.multiplicities.values())
     uniform = len(multiplicities) == 1 and min(multiplicities) >= 2
     clauses = _pair_clauses(pattern) if uniform else None
-    lookahead = _covers_search_tree(len(symbols), budget)
     for i, j in combinations(variables, 2):
         if clauses is not None and clauses(i, j)[-1]:
             return (i, j)
         merged = spelt.replace(letters[j], letters[i])
-        verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget, lookahead)
+        verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget, True)
         if verdict is None:
             raise BudgetError(f"solver run for the pair ({i}, {j}) exceeded {budget} nodes")
         if not verdict:
@@ -366,6 +365,8 @@ def conjecture_scan(
     """
     if target not in SCAN_TARGETS:
         raise DomainError(f"unknown scan target {target!r}; expected one of {', '.join(SCAN_TARGETS)}")
+    if max_len < 0:
+        raise DomainError(f"max_len must be >= 0, got {max_len}")
     if max_len > MAX_SCAN_LENGTH:
         raise ResourceError(f"scans support max_len <= {MAX_SCAN_LENGTH}, got {max_len}")
     _validate_budget(budget)

@@ -47,13 +47,7 @@ from typing import Iterator, Sequence
 
 from .errors import DomainError
 from .morphisms import Morphism, Substitution
-from .words import (
-    Pattern,
-    _neighbourhood_certificate,
-    canonical_symbols,
-    first_occurrence_order,
-    validate_word,
-)
+from .words import Pattern, canonical_symbols, first_occurrence_order, validate_word
 
 DEFAULT_BUDGET = 10**8
 
@@ -355,8 +349,13 @@ def _ambiguity_verdict(
     may be a str or a tuple; with the identity images of a canonical key,
     the key is the word and the verdict is the key's fixed-point verdict.
 
-    ``lookahead`` is passed to the walk; the caller asks for it only when
-    the budget covers the whole search tree."""
+    A ``lookahead`` request is honoured only when the budget covers the
+    whole search tree of the symbols on a word as long as they are, which
+    is every word it is asked for (a key spelt as a str, a 1-uniform image);
+    the walk then cannot run out, so the verdict is the same.  Under any
+    other budget the plain walk runs, and runs out where the counted
+    searches do."""
+    lookahead = lookahead and _covers_search_tree(len(symbols), budget)
     try:
         walk = _iter_assignments(symbols, word, 0, [0], budget, lookahead)
         return _first_alternative(walk, images) is not None
@@ -509,18 +508,13 @@ def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     key as a tuple, which runs out exactly where :func:`is_fixed_point` does.
     Under a covering budget the key answers through the lesser of itself and
     its mirror, since phi fixes alpha iff the mirrored phi fixes alpha
-    reversed.  The lesser key is decided by
-    :func:`fixed_point_by_neighbourhoods` or else by
-    :func:`_ambiguity_verdict` of the key spelt as a str, with the identity
-    excluded and the lookahead walk, which cannot run out.
+    reversed.  The lesser key is decided by :func:`_ambiguity_verdict` of
+    the key spelt as a str, with the identity excluded and the lookahead
+    walk, which cannot run out.
     """
     if not _covers_search_tree(len(key), budget):
         return _ambiguity_verdict(key, key, {s: (s,) for s in key}, budget)
     mirrored = canonical_symbols(key[::-1])
     if mirrored < key:
         return _key_verdict(mirrored, budget)
-    if _neighbourhood_certificate(key) is not None:
-        return True
-    return _ambiguity_verdict(
-        key, "".join(map(chr, key)), {s: chr(s) for s in key}, budget, lookahead=True
-    )
+    return _ambiguity_verdict(key, "".join(map(chr, key)), {s: chr(s) for s in key}, budget, True)

@@ -212,12 +212,8 @@ def fixed_point_by_neighbourhoods(pattern: Pattern) -> tuple[int, int] | None:
     """
     if not pattern:
         raise DomainError("neighbourhoods are undefined for the empty pattern")
-    return _neighbourhood_certificate(pattern.symbols)
-
-
-def _neighbourhood_certificate(symbols: tuple[int, ...]) -> tuple[int, int] | None:
-    """:func:`fixed_point_by_neighbourhoods` of non-empty symbols, with no Pattern built."""
-    variables = set(symbols)
+    symbols = pattern.symbols
+    variables = pattern.variables
     padded = (BOUNDARY, *symbols, BOUNDARY)
     pairs = set(zip(padded, padded[1:]))
     # the only right (left) neighbour of each symbol, or None once it has two

@@ -477,6 +477,11 @@ class TestScan:
             " || test $? -eq 3\n" in job
         )
         assert "cmp c3b60.jsonl c3b60w2.jsonl\n" in job
+        # and of a theorem7 scan with budget hits, whose pair search may
+        # prune by lookahead only where the budget covers its search tree
+        assert "unambig scan --target theorem7 --max-len 8 --budget 60 --out t7b60.jsonl || test $? -eq 3\n" in job
+        pinned = re.findall(r'echo "([0-9a-f]{64})  t7b60\.jsonl" \| sha256sum -c -', job)
+        assert pinned == [SCAN_DIGESTS["theorem7", 60][1]]
         # and one-line outputs, each compared with the text the job echoes,
         # which the in-process CLI prints with the exit code the job allows
         one_line = {

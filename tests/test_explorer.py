@@ -754,6 +754,14 @@ class TestConjectureScan:
         with pytest.raises(DomainError):
             list(conjecture_scan(8, "conjecture2", workers=0))
 
+    def test_negative_length_is_a_domain_error_before_any_record(self):
+        # worded as the enumerator words its own length check
+        with pytest.raises(DomainError, match="^length must be >= 0, got -3$"):
+            list(enumerate_canonical_patterns(-3))
+        for target in SCAN_TARGETS:
+            with pytest.raises(DomainError, match="^max_len must be >= 0, got -3$"):
+                conjecture_scan(-3, target)
+
     def test_more_workers_than_cpus_is_a_domain_error_before_any_fork(self, monkeypatch):
         def no_pool(workers):
             raise AssertionError("a pool was started")

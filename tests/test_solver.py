@@ -342,7 +342,8 @@ def search_tree_size(pattern):
 
 
 def certified(pattern):
-    """Whether one of fixed_point_verdict's two certificates holds."""
+    """Whether the pattern is a fixed point by a sound shortcut, with no
+    search: a variable occurring once, or the neighbourhood shape."""
     singleton = len(pattern) >= 2 and 1 in pattern.multiplicities.values()
     return singleton or fixed_point_by_neighbourhoods(pattern) is not None
 
@@ -408,34 +409,42 @@ class TestFixedPointShortcuts:
 
     def test_a_key_and_its_mirror_run_one_search(self, monkeypatch):
         # whichever of the two is asked first, the other is answered from
-        # the cache: one certificate check, and a search only without one
-        certificates, searches = [], []
-        certificate, search = solver._neighbourhood_certificate, solver._ambiguity_verdict
+        # the cache: one search, on the lesser key
+        searches = []
+        search = solver._ambiguity_verdict
 
-        def counted_certificate(key):
-            certificates.append(key)
-            return certificate(key)
-
-        def counted_search(*args, **kwargs):
+        def counted_search(*args):
             searches.append(args[0])
-            return search(*args, **kwargs)
+            return search(*args)
 
-        monkeypatch.setattr(solver, "_neighbourhood_certificate", counted_certificate)
         monkeypatch.setattr(solver, "_ambiguity_verdict", counted_search)
         asked = 0
         for pattern, result in decided():
             if len(pattern) > 8 or 1 in pattern.multiplicities.values():
                 continue
             solver._key_verdict.cache_clear()
-            certificates.clear()
             searches.clear()
             mirror = canonical_form(Pattern(pattern.symbols[::-1]))
             fixed = isinstance(result, FixedPoint)
             assert fixed_point_verdict(pattern) == fixed_point_verdict(mirror) == fixed
-            assert len(certificates) == 1, pattern
-            assert len(searches) == (certificate(certificates[0]) is None), pattern
+            assert searches == [min(pattern.symbols, mirror.symbols)], pattern
             asked += 1
         assert asked > 0
+
+    def test_the_search_finds_every_neighbourhood_certified_key(self):
+        # the verdict cache is filled by the lookahead walk alone, so it
+        # must answer True wherever the neighbourhood shape certifies a
+        # fixed point; no variable occurs once, so the walk decides each
+        certified_keys = {}
+        for length in (9, 10):
+            certified_keys[length] = 0
+            for pattern in enumerate_canonical_patterns(length, min_multiplicity=2):
+                if fixed_point_by_neighbourhoods(pattern) is None:
+                    continue
+                solver._key_verdict.cache_clear()
+                assert fixed_point_verdict(pattern) is True, pattern
+                certified_keys[length] += 1
+        assert certified_keys == {9: 240, 10: 1295}
 
     def test_warm_verdict_memo_leaves_witnesses_and_node_counts(self):
         patterns = [p for p, _ in decided() if len(p) <= 8]
@@ -917,6 +926,32 @@ class TestLookahead:
                     plain_nodes += plain[0]
                     lookahead_nodes += ahead[0]
         assert lookahead_nodes < plain_nodes
+
+    def test_the_verdict_search_honours_lookahead_only_under_a_covering_budget(self, monkeypatch):
+        # the gate is the verdict search's own, whatever its caller asks
+        flags = []
+
+        def recording(symbols, word, min_len, counter, budget, lookahead=False):
+            flags.append(lookahead)
+            return PLAIN_WALK(symbols, word, min_len, counter, budget, lookahead)
+
+        monkeypatch.setattr(solver, "_iter_assignments", recording)
+        for text in ("1 2 1 2", "1 2 3 1 3 2", "1 2 1 3 1 2 3 3 2", "1 2 " * 16):
+            symbols = parse_pattern(text).symbols
+            word = "".join(ALPHABET[s - 1] for s in symbols)
+            images = {s: ALPHABET[s - 1] for s in symbols}
+            n = len(symbols)
+            if n < len(solver._SEARCH_TREE_BOUND):
+                gate = solver._SEARCH_TREE_BOUND[n]
+                cases = [(gate - 1, False), (gate, True), (solver.DEFAULT_BUDGET, gate <= solver.DEFAULT_BUDGET)]
+            else:
+                # beyond the table no budget covers the tree
+                cases = [(solver.DEFAULT_BUDGET, False)]
+            for budget, honoured in cases:
+                for asked in (True, False):
+                    flags.clear()
+                    solver._ambiguity_verdict(symbols, word, images, budget, asked)
+                    assert flags == [asked and honoured], (text, budget, asked)
 
     def test_budgets_that_do_not_cover_the_tree_get_the_plain_answer(self, monkeypatch):
         # below the tree bound the verdict-only searches walk as the counted
