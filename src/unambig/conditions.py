@@ -134,7 +134,7 @@ def has_unique_2_factors(word: str) -> bool:
     return all(count == 1 for count in factor_multiplicity(word, 2).values())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BillaudReport:
     """Fixed-point statuses of a pattern and its single-variable deletions.
 
@@ -181,8 +181,10 @@ def _billaud_report(key: tuple[int, ...], names: Sequence[int], budget: int) -> 
     """The report of :func:`billaud_instance` on a canonical key with at
     least 3 distinct symbols, whose canonical symbol r names the variable
     ``names[r - 1]``."""
-    # counts[r]: the occurrences of canonical symbol r
-    counts = [key.count(r) for r in range(len(names) + 1)]
+    # counts[r]: the occurrences of canonical symbol r, in one pass
+    counts = [0] * (len(names) + 1)
+    for s in key:
+        counts[s] += 1
     singletons = counts.count(1)
     covered = _covers_search_tree(len(key), budget)
     if covered and singletons >= 2:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from itertools import combinations
 from typing import Iterator
 
@@ -123,8 +123,8 @@ def search_1uniform(
     from the verdict cache of its canonical key and budget, where a key and
     its mirror share one entry.  A check that runs out of budget falls
     through to the sweep; so on a fixed point, a budget that covers the
-    check but not the sweep gives None, not BudgetError.  The colorings are decided by the plain walk (see
-    :func:`_first_unambiguous`).
+    check but not the sweep gives None, not BudgetError.  The colorings are
+    decided by the plain walk (see :func:`_first_unambiguous`).
 
     Colorings of the variables (ordered by first occurrence) are enumerated
     up to letter-renaming symmetry, which is lossless: ambiguity depends only
@@ -242,7 +242,7 @@ def enumerate_canonical_patterns(
         yield Pattern(symbols)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ScanRecord:
     """One scanned pattern: its verdicts and whether it is a finding.
 
@@ -262,7 +262,8 @@ class ScanRecord:
 
     def to_json(self) -> str:
         """One JSON line, keys in field order: what ``json.dumps`` gives for
-        the record's dict, written out directly."""
+        the record's dict, written out directly.  A Billaud report's object
+        is written once per report shape (:func:`_billaud_json`)."""
         pair = self.best_sigma_ij
         k = self.best_uniform_k
         line = (
@@ -274,13 +275,13 @@ class ScanRecord:
         report = self.billaud
         if report is None:
             return line + "}"
-        delta = ", ".join(f'"{v}": {_JSON_LITERAL[fp]}' for v, fp in sorted(report.delta_fixed_point.items()))
-        return (
-            f'{line}, "billaud": {{"delta_fixed_point": {{{delta}}}, '
-            f'"hypothesis_holds": {_JSON_LITERAL[report.hypothesis_holds]}, '
-            f'"alpha_is_fixed_point": {_JSON_LITERAL[report.alpha_is_fixed_point]}, '
-            f'"conjecture_instance_ok": {_JSON_LITERAL[report.conjecture_instance_ok]}}}}}'
+        billaud = _billaud_json(
+            tuple(report.delta_fixed_point.items()),
+            report.hypothesis_holds,
+            report.alpha_is_fixed_point,
+            report.conjecture_instance_ok,
         )
+        return f'{line}, "billaud": {billaud}}}'
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
@@ -293,6 +294,24 @@ class ScanRecord:
             report["delta_fixed_point"] = {int(v): fp for v, fp in report["delta_fixed_point"].items()}
             data["billaud"] = BillaudReport(**report)
         return cls(**data)
+
+
+@lru_cache(maxsize=1024)
+def _billaud_json(
+    delta: tuple[tuple[int, bool], ...], hypothesis: bool, alpha_fp: bool, instance_ok: bool
+) -> str:
+    """The JSON object of a Billaud report with these delta items, in any
+    order, and flags.  It depends on nothing else, and a scan's reports take
+    few such shapes (37 up to length 8, 81 up to length 10), so each is
+    written once; the reports of a scan hold their items sorted, so a shape
+    takes one entry."""
+    items = ", ".join(f'"{v}": {_JSON_LITERAL[fp]}' for v, fp in sorted(delta))
+    return (
+        f'{{"delta_fixed_point": {{{items}}}, '
+        f'"hypothesis_holds": {_JSON_LITERAL[hypothesis]}, '
+        f'"alpha_is_fixed_point": {_JSON_LITERAL[alpha_fp]}, '
+        f'"conjecture_instance_ok": {_JSON_LITERAL[instance_ok]}}}'
+    )
 
 
 def _scan_pattern(key: tuple[int, ...], target: str, budget: int) -> ScanRecord:
@@ -365,6 +384,9 @@ def conjecture_scan(
     """
     if target not in SCAN_TARGETS:
         raise DomainError(f"unknown scan target {target!r}; expected one of {', '.join(SCAN_TARGETS)}")
+    # type(), not isinstance(): True is an int to isinstance
+    if type(max_len) is not int:
+        raise DomainError(f"max_len must be an int, got {max_len!r}")
     if max_len < 0:
         raise DomainError(f"max_len must be >= 0, got {max_len}")
     if max_len > MAX_SCAN_LENGTH:

@@ -1,8 +1,10 @@
+import dataclasses
 import functools
 import hashlib
 import itertools
 import json
 import multiprocessing
+import pickle
 
 import pytest
 
@@ -526,6 +528,37 @@ class TestScanRecord:
         for record in conjecture_scan(8, target, budget=budget):
             assert record.to_json() == reference_json(record)
 
+    def test_pickle_round_trip(self):
+        # the worker pool sends records between processes
+        records = [*HAND_BUILT_RECORDS, *conjecture_scan(6, "conjecture3")]
+        assert len(records) == len(HAND_BUILT_RECORDS) + 215
+        for record in records:
+            copy = pickle.loads(pickle.dumps(record))
+            assert copy == record
+            assert copy.to_json() == record.to_json()
+
+    def test_records_and_reports_are_slotted_and_frozen(self):
+        record = HAND_BUILT_RECORDS[-1]
+        for obj in (record, record.billaud):
+            assert not hasattr(obj, "__dict__")
+            for field in dataclasses.fields(obj):
+                with pytest.raises(dataclasses.FrozenInstanceError):
+                    setattr(obj, field.name, None)
+
+    def test_billaud_fragments_are_cached_per_report_shape(self):
+        explorer._billaud_json.cache_clear()
+        shapes = set()
+        records = 0
+        for record in conjecture_scan(8, "conjecture3"):
+            record.to_json()
+            report = record.billaud
+            flags = (report.hypothesis_holds, report.alpha_is_fixed_point, report.conjecture_instance_ok)
+            shapes.add((tuple(sorted(report.delta_fixed_point.items())), flags))
+            records += 1
+        info = explorer._billaud_json.cache_info()
+        assert (records, len(shapes)) == (5040, 37)
+        assert (info.currsize, info.misses, info.hits) == (37, 37, records - 37)
+
     def test_json_round_trip(self):
         record = ScanRecord(
             pattern=A1,
@@ -761,6 +794,13 @@ class TestConjectureScan:
         for target in SCAN_TARGETS:
             with pytest.raises(DomainError, match="^max_len must be >= 0, got -3$"):
                 conjecture_scan(-3, target)
+
+    def test_non_int_length_is_a_domain_error_before_any_record(self):
+        # a float failed only at the first record, and True scanned as 1
+        with pytest.raises(DomainError, match="^max_len must be an int, got 8.5$"):
+            conjecture_scan(8.5, "theorem7")
+        with pytest.raises(DomainError, match="^max_len must be an int, got True$"):
+            conjecture_scan(True, "conjecture3")
 
     def test_more_workers_than_cpus_is_a_domain_error_before_any_fork(self, monkeypatch):
         def no_pool(workers):
