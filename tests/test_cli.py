@@ -455,14 +455,14 @@ class TestScan:
         # from the installed package, to the same bytes
         assert "unambig scan --target conjecture3 --max-len 8 --workers 2 --out c3w2.jsonl\n" in job
         assert "cmp c3.jsonl c3w2.jsonl\n" in job
+        pinned = re.findall(r'echo "([0-9a-f]{64})  c3\.jsonl" \| sha256sum -c -', job)
+        assert pinned == [SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET][1]]
         # and the bytes of the two targets whose records carry no Billaud
         # report
         for target, out_file in (("conjecture1", "c1.jsonl"), ("conjecture2", "c2.jsonl")):
             assert f"unambig scan --target {target} --max-len 8 --out {out_file}\n" in job
             pinned = re.findall(rf'echo "([0-9a-f]{{64}})  {re.escape(out_file)}" \| sha256sum -c -', job)
             assert pinned == [SCAN_DIGESTS[target, DEFAULT_BUDGET][1]]
-        pinned = re.findall(r'echo "([0-9a-f]{64})  c3\.jsonl" \| sha256sum -c -', job)
-        assert pinned == [SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET][1]]
         # and the bytes of a theorem7 scan, whose pair search prunes by
         # occurrence lookahead
         assert "unambig scan --target theorem7 --max-len 10 --out t7.jsonl\n" in job
