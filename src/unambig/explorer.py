@@ -151,9 +151,11 @@ def _first_unambiguous(
     from the images, and the solver gives only its verdict.
 
     The solver runs its plain walk, not the lookahead one that the pair
-    search uses: a coloring's word has few letters, so nearly every image
-    occurs again and the lookahead's test at each choice point costs more
-    than the nodes it saves."""
+    search uses.  On a short word with few letters, such as the length-7
+    colorings of the uniform-sweep benchmark, nearly every image occurs
+    again and the lookahead's test at each choice point costs more than the
+    nodes it saves; the least-alphabet colorings, with up to v - 1 letters
+    for v variables, save time with it from length 9 on (see README)."""
     ordered = tuple(dict.fromkeys(symbols))
     for coloring in colorings:
         images = dict(zip(ordered, [ALPHABET[c - 1] for c in coloring]))

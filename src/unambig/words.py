@@ -205,29 +205,12 @@ def fixed_point_by_neighbourhoods(pattern: Pattern) -> tuple[int, int] | None:
     R_k = {i} with the boundary absent from L_i, else ``(i, 2)`` for the least
     i satisfying the mirrored condition, else None.  Presence implies the
     pattern is a fixed point of a nontrivial morphism; absence proves nothing.
-
-    A left neighbour k of i has i in R_k, so R_k = {i} holds exactly when k
-    has one right neighbour; the sets of :func:`neighbourhoods` are never
-    built, only the distinct adjacent pairs.
     """
-    if not pattern:
-        raise DomainError("neighbourhoods are undefined for the empty pattern")
-    symbols = pattern.symbols
-    variables = pattern.variables
-    padded = (BOUNDARY, *symbols, BOUNDARY)
-    pairs = set(zip(padded, padded[1:]))
-    # the only right (left) neighbour of each symbol, or None once it has two
-    right_of: dict[int, int | None] = {}
-    left_of: dict[int, int | None] = {}
-    for a, b in pairs:
-        right_of[a] = None if a in right_of else b
-        left_of[b] = None if b in left_of else a
-    held = variables.difference([b for a, b in pairs if right_of[a] is None], symbols[:1])
-    if held:
-        return (min(held), 1)
-    held = variables.difference([a for a, b in pairs if left_of[b] is None], symbols[-1:])
-    if held:
-        return (min(held), 2)
+    nbh = neighbourhoods(pattern)
+    for side, inner, outer in ((1, nbh.left, nbh.right), (2, nbh.right, nbh.left)):
+        held = [i for i, ks in inner.items() if BOUNDARY not in ks and all(outer[k] == {i} for k in ks)]
+        if held:
+            return (min(held), side)
     return None
 
 

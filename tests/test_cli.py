@@ -2,11 +2,10 @@ import hashlib
 import json
 import multiprocessing
 import os
-import re
 import shlex
+import shutil
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
@@ -445,67 +444,6 @@ class TestScan:
         assert out == "records: 5040\nfindings: 0\nbudget-hits: 0\n"
         assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET]
 
-    def test_console_script_job_checks_the_pinned_digest(self, capsys):
-        # the CI job that installs the package checks the same scan's bytes
-        # against its own copy of the digest
-        workflow = Path(__file__).resolve().parent.parent / ".github" / "workflows" / "tier1.yml"
-        job = workflow.read_text().split("\n  console-script:\n", 1)[1]
-        assert "unambig scan --target conjecture3 --max-len 8 --out c3.jsonl\n" in job
-        # and runs the worker pool, imported only when a scan starts one,
-        # from the installed package, to the same bytes
-        assert "unambig scan --target conjecture3 --max-len 8 --workers 2 --out c3w2.jsonl\n" in job
-        assert "cmp c3.jsonl c3w2.jsonl\n" in job
-        pinned = re.findall(r'echo "([0-9a-f]{64})  c3\.jsonl" \| sha256sum -c -', job)
-        assert pinned == [SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET][1]]
-        # and the bytes of the two targets whose records carry no Billaud
-        # report
-        for target, out_file in (("conjecture1", "c1.jsonl"), ("conjecture2", "c2.jsonl")):
-            assert f"unambig scan --target {target} --max-len 8 --out {out_file}\n" in job
-            pinned = re.findall(rf'echo "([0-9a-f]{{64}})  {re.escape(out_file)}" \| sha256sum -c -', job)
-            assert pinned == [SCAN_DIGESTS[target, DEFAULT_BUDGET][1]]
-        # and the bytes of a theorem7 scan, whose pair search prunes by
-        # occurrence lookahead
-        assert "unambig scan --target theorem7 --max-len 10 --out t7.jsonl\n" in job
-        pinned = re.findall(r'echo "([0-9a-f]{64})  t7\.jsonl" \| sha256sum -c -', job)
-        assert pinned == [LONGER_SCAN_DIGESTS["theorem7", 10][1]]
-        # and of a scan with budget hits, which exits 3 and keeps each
-        # fixed-point outcome in the verdict cache under its own budget, and
-        # the same scan with two workers, each with its own cache, to the
-        # same bytes
-        assert (
-            "unambig scan --target conjecture3 --max-len 8 --budget 60 --out c3b60.jsonl || test $? -eq 3\n"
-            in job
-        )
-        pinned = re.findall(r'echo "([0-9a-f]{64})  c3b60\.jsonl" \| sha256sum -c -', job)
-        assert pinned == [SCAN_DIGESTS["conjecture3", 60][1]]
-        assert (
-            "unambig scan --target conjecture3 --max-len 8 --budget 60 --workers 2 --out c3b60w2.jsonl"
-            " || test $? -eq 3\n" in job
-        )
-        assert "cmp c3b60.jsonl c3b60w2.jsonl\n" in job
-        # and of a theorem7 scan with budget hits, whose pair search may
-        # prune by lookahead only where the budget covers its search tree
-        assert "unambig scan --target theorem7 --max-len 8 --budget 60 --out t7b60.jsonl || test $? -eq 3\n" in job
-        pinned = re.findall(r'echo "([0-9a-f]{64})  t7b60\.jsonl" \| sha256sum -c -', job)
-        assert pinned == [SCAN_DIGESTS["theorem7", 60][1]]
-        # and one-line outputs, each compared with the text the job echoes,
-        # which the in-process CLI prints with the exit code the job allows
-        one_line = {
-            "pt.txt": ("verify pair-theorem --max-len 10", 0),
-            "fp.json": ('fixed-point --pattern "7 3 7 3 9 9 7 3 7 3" --json', 0),
-            "nfp.json": ('fixed-point --pattern "1 1 2 3 4 5 6 7 8 9 6 2 7 3 8 4 9 5" --json', 1),
-            "amb.json": (
-                'check-ambiguity --pattern "1 1 2 3 4 5 6 7 8 9 6 2 7 3 8 4 9 5" '
-                '--morphism "1=a,2=a,3=a,4=a,5=a,6=b,7=b,8=b,9=b" --json',
-                0,
-            ),
-        }
-        for out_file, (args, code) in one_line.items():
-            allowed = f" || test $? -eq {code}" if code else ""
-            assert f"unambig {args} > {out_file}{allowed}\n" in job
-            (echoed,) = re.findall(rf"echo (.+) \| cmp - {re.escape(out_file)}\n", job)
-            assert run_cli(capsys, *shlex.split(args)) == (code, shlex.split(echoed)[0] + "\n", "")
-
     @pytest.mark.parametrize(
         "max_len,budget", [("6", []), ("7", ["--budget", "60"])], ids=["default", "budget-60"]
     )
@@ -830,7 +768,79 @@ def _checkout_env():
     return env
 
 
+HARD_PATTERN = "1 1 2 3 4 5 6 7 8 9 6 2 7 3 8 4 9 5"
+C3 = "scan --target conjecture3 --max-len 8"
+
+# The runs the console-script CI job makes with the installed `unambig`: the
+# argv, the exact exit code, and the records and sha256 of the scan's --out
+# file or the exact stdout.  A two-worker scan runs the pool, which the
+# package imports only when a scan starts one, to its one-worker bytes.
+PINNED_RUNS = {
+    "conjecture3": (C3, 0, SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET]),
+    "conjecture3-workers-2": (f"{C3} --workers 2", 0, SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET]),
+    "conjecture1": ("scan --target conjecture1 --max-len 8", 0, SCAN_DIGESTS["conjecture1", DEFAULT_BUDGET]),
+    "conjecture2": ("scan --target conjecture2 --max-len 8", 0, SCAN_DIGESTS["conjecture2", DEFAULT_BUDGET]),
+    "theorem7-10": ("scan --target theorem7 --max-len 10", 0, LONGER_SCAN_DIGESTS["theorem7", 10]),
+    "conjecture3-60": (f"{C3} --budget 60", 3, SCAN_DIGESTS["conjecture3", 60]),
+    "conjecture3-60-workers-2": (f"{C3} --budget 60 --workers 2", 3, SCAN_DIGESTS["conjecture3", 60]),
+    "theorem7-60": ("scan --target theorem7 --max-len 8 --budget 60", 3, SCAN_DIGESTS["theorem7", 60]),
+    "pair-theorem": (
+        "verify pair-theorem --max-len 10",
+        0,
+        "ok: 4380 passing pairs across 1122 uniform non-fixed-point patterns of length <= 10 all verify unambiguous\n",
+    ),
+    "fixed-point": (
+        'fixed-point --pattern "7 3 7 3 9 9 7 3 7 3" --json',
+        0,
+        '{"verdict": "fixed-point", "morphism": "3=7 3,7=,9=9", "nodes": 12}\n',
+    ),
+    "not-fixed-point": (
+        f'fixed-point --pattern "{HARD_PATTERN}" --json',
+        1,
+        '{"verdict": "not-fixed-point", "morphism": null, "nodes": 68076}\n',
+    ),
+    "unambiguous": (
+        f'check-ambiguity --pattern "{HARD_PATTERN}" --morphism "1=a,2=a,3=a,4=a,5=a,6=b,7=b,8=b,9=b" --json',
+        0,
+        '{"verdict": "unambiguous", "witness": null, "nodes": 87379}\n',
+    ),
+}
+
+
 class TestConsoleScript:
+    # `python -m unambig` runs cli.run() from the checkout, so every Tier-1
+    # run proves each pinned run; the installed console script runs them too
+    # wherever one is on PATH.
+    @pytest.mark.parametrize("runner", ["checkout", "installed"])
+    @pytest.mark.parametrize("args,code,expected", PINNED_RUNS.values(), ids=PINNED_RUNS)
+    def test_pinned_run(self, tmp_path, runner, args, code, expected):
+        if runner == "checkout":
+            command = [sys.executable, "-m", "unambig"]
+        elif shutil.which("unambig"):
+            command = [shutil.which("unambig")]
+        else:
+            pytest.skip("no unambig console script on PATH")
+        argv = shlex.split(args)
+        out_file = tmp_path / "out.jsonl"
+        if argv[0] == "scan":
+            argv += ["--out", str(out_file)]
+        proc = subprocess.run(command + argv, capture_output=True, text=True, env=_checkout_env())
+        if argv[0] == "scan":
+            data = out_file.read_bytes()
+            out = (data.count(b"\n"), hashlib.sha256(data).hexdigest())
+        else:
+            out = proc.stdout
+        assert (proc.returncode, out, proc.stderr) == (code, expected, "")
+
+    def test_every_scan_target_has_a_default_budget_run(self):
+        # so the console-script job scans every target through the script
+        targets = set()
+        for args, _, _ in PINNED_RUNS.values():
+            argv = shlex.split(args)
+            if argv[0] == "scan" and "--budget" not in argv:
+                targets.add(argv[argv.index("--target") + 1])
+        assert sorted(targets) == sorted(SCAN_TARGETS)
+
     def test_entry_point_runs(self):
         proc = subprocess.run(
             [sys.executable, "-c", "from unambig.cli import run; run()", "generate", "thue", "--length", "3"],
