@@ -21,10 +21,10 @@ from .checks import pair_theorem_checks, pi_db_checks, shortest_checks, thue_che
 from .errors import DomainError, InconsistencyError, ParseError, ResourceError
 from .explorer import (
     SCAN_TARGETS,
+    _least_alphabet,
     check_enumeration,
     conjecture_scan,
     enumerate_canonical_patterns,
-    least_uniform_alphabet,
     search_1uniform,
     search_sigma_ij,
 )
@@ -223,12 +223,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
     check_enumeration(args.length)
     with _open_output(args.jsonl or os.devnull) as sink:
         for pattern in enumerate_canonical_patterns(args.length, min_vars=args.min_vars):
-            # a budget-exhausted check counts as "not a fixed point"
+            # a budget-exhausted check counts as "not a fixed point", as in least_uniform_alphabet
             if fixed_point_verdict(pattern, budget=args.budget):
                 fixed_points += 1
                 continue
             n = len(pattern.variables)
-            k = least_uniform_alphabet(pattern, n, budget=args.budget)
+            k = _least_alphabet(pattern.symbols, n, args.budget)
             if k is None:
                 raise InconsistencyError(f"renaming must be unambiguous off fixed points: {pattern}")
             census[n, k] += 1

@@ -134,7 +134,7 @@ def has_unique_2_factors(word: str) -> bool:
     return all(count == 1 for count in factor_multiplicity(word, 2).values())
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class BillaudReport:
     """Fixed-point statuses of a pattern and its single-variable deletions.
 
@@ -165,10 +165,8 @@ def billaud_instance(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> Billa
     occurs once, so when two occur once the whole report is true at once.
     Such an answer is taken only when the budget covers the search tree of
     the deletion or the pattern it answers for, where the search could not
-    run out either; it leaves no entry in the verdict cache.  Every other
-    deletion, and the pattern itself, is looked up in that cache by its
-    canonical key and the budget, as :func:`fixed_point_verdict` looks it
-    up.
+    run out either.  Every other deletion, and the pattern itself, is
+    answered as :func:`fixed_point_verdict` answers its canonical key.
     """
     names = first_occurrence_order(pattern)
     if len(names) < 3:

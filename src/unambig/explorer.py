@@ -23,9 +23,7 @@ from .morphisms import Morphism, merge_morphism
 from .solver import (
     DEFAULT_BUDGET,
     _ambiguity_verdict,
-    _covers_search_tree,
-    _has_singleton,
-    _key_verdict,
+    _canonical_verdict,
     _validate_budget,
     fixed_point_verdict,
 )
@@ -116,12 +114,9 @@ def search_1uniform(
     """The first 1-uniform morphism over at most ``alphabet_size`` letters
     that is unambiguous with respect to the pattern, or None.
 
-    Fixed points are rejected outright, since every nonerasing morphism is
-    ambiguous there: the answer is None and no coloring reaches the solver.
-    The check is :func:`fixed_point_verdict`: a pattern with a variable
-    occurring once is answered before it is canonicalised, and any other
-    from the verdict cache of its canonical key and budget, where a key and
-    its mirror share one entry.  A check that runs out of budget falls
+    Fixed points are rejected outright by :func:`fixed_point_verdict`, since
+    every nonerasing morphism is ambiguous there: the answer is None and no
+    coloring reaches the solver.  A check that runs out of budget falls
     through to the sweep; so on a fixed point, a budget that covers the
     check but not the sweep gives None, not BudgetError.  The colorings are
     decided by the plain walk (see :func:`_first_unambiguous`).
@@ -244,7 +239,7 @@ def enumerate_canonical_patterns(
         yield Pattern(symbols)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True)
 class ScanRecord:
     """One scanned pattern: its verdicts and whether it is a finding.
 
@@ -322,37 +317,29 @@ def _scan_pattern(key: tuple[int, ...], target: str, budget: int) -> ScanRecord:
     give a pair or an alphabet size, never a morphism."""
     pattern = Pattern(key)
     var_count = max(key)
-    try:
-        if target == "conjecture3":
+    if target == "conjecture3":
+        try:
             # the report decides the pattern itself too
             report = _billaud_report(key, range(1, var_count + 1), budget)
-            return ScanRecord(
-                pattern,
-                report.alpha_is_fixed_point,
-                var_count,
-                finding=not report.conjecture_instance_ok,
-                billaud=report,
-            )
-        # fixed_point_verdict without its checks and canonicalisation: a
-        # variable occurring once answers before the verdict cache
-        alpha_fp = (
-            _covers_search_tree(len(key), budget) and _has_singleton(key)
-        ) or _key_verdict(key, budget)
-        if alpha_fp is None:
-            raise BudgetError(f"fixed-point check of the pattern exceeded {budget} nodes")
-        if alpha_fp:
-            # every nonerasing morphism is ambiguous on a fixed point, so there
-            # is nothing to search and nothing to flag
-            return ScanRecord(pattern, True, var_count)
+        except BudgetError:
+            # a budget hit in the report gives the pattern's own verdict
+            return ScanRecord(pattern, _canonical_verdict(key, budget), var_count, budget_hit=True)
+        ok = report.conjecture_instance_ok
+        return ScanRecord(pattern, report.alpha_is_fixed_point, var_count, finding=not ok, billaud=report)
+    alpha_fp = _canonical_verdict(key, budget)
+    if alpha_fp is None:
+        return ScanRecord(pattern, None, var_count, budget_hit=True)
+    if alpha_fp:
+        # every nonerasing morphism is ambiguous on a fixed point, so there
+        # is nothing to search and nothing to flag
+        return ScanRecord(pattern, True, var_count)
+    try:
         if target == "conjecture1":
             k = _least_alphabet(key, var_count - 1, budget)
             return ScanRecord(pattern, False, var_count, best_uniform_k=k, finding=k is None)
         pair = _sigma_ij_pair(pattern, budget)
     except BudgetError:
-        # the pattern's own verdict, None or a bool, asked for again: the
-        # singleton test or the cache answers
-        verdict = fixed_point_verdict(pattern, budget=budget)
-        return ScanRecord(pattern, verdict, var_count, budget_hit=True)
+        return ScanRecord(pattern, False, var_count, budget_hit=True)
     if target == "theorem7" and pair is None:
         raise InconsistencyError(
             f"no unambiguous pair-merging morphism for the non-fixed-point pattern {pattern}"

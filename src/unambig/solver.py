@@ -33,8 +33,9 @@ again later in the word (occurrence lookahead).  It yields the same
 assignments from fewer nodes, so no search that reports a node count or a
 witness uses it.
 
-A fixed-point verdict without a witness is a pure function of the canonical
-key and the budget, so it is cached, bounded, for the life of the process
+A fixed-point search walks the canonical key spelt one code point per
+symbol.  A verdict without a witness is a pure function of the key and the
+budget, so it is cached, bounded, for the life of the process
 (:func:`_key_verdict`); a key and its mirror share the entry of the lesser.
 """
 
@@ -43,7 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, inf
-from typing import Iterator, Sequence
+from typing import Iterator
 
 from .errors import DomainError
 from .morphisms import Morphism, Substitution
@@ -101,7 +102,7 @@ def _validate_budget(budget: int) -> None:
 
 def _iter_assignments(
     symbols: tuple[int, ...],
-    word: Sequence,
+    word: str,
     min_len: int,
     counter: list[int],
     budget: float,
@@ -109,9 +110,9 @@ def _iter_assignments(
 ) -> Iterator[dict]:
     """Yield every variable assignment whose pointwise image equals ``word``.
 
-    ``word`` may be a str or a tuple; images are slices of it.  Candidates are
-    pruned by remaining-length feasibility: the unassigned occurrences in the
-    suffix must be able to stretch (or shrink) to exactly the remaining word.
+    Images are slices of it.  Candidates are pruned by remaining-length
+    feasibility: the unassigned occurrences in the suffix must be able to
+    stretch (or shrink) to exactly the remaining word.
     One node is one candidate image counted.  The last slot opens no choice
     point: its candidates are counted in one step, and only the length that
     ends on the word's end, when whole, is tried.  ``counter[0]`` holds the
@@ -127,11 +128,11 @@ def _iter_assignments(
     exhausted.  The last slot's count is a function of the position too,
     found in one step, so it keeps no memo entry.
 
-    With ``lookahead``, for a str ``word``, a choice point of a slot that
-    occurs again, other than the last slot, stops at the longest image that
-    occurs in ``word`` again after its own end: a shorter image occurs
-    wherever a longer one does, and any image must occur again to match the
-    slot's next occurrence.  The yields and their order stay the same, but
+    With ``lookahead``, a choice point of a slot that occurs again, other
+    than the last slot, stops at the longest image that occurs in ``word``
+    again after its own end: a shorter image occurs wherever a longer one
+    does, and any image must occur again to match the slot's next
+    occurrence.  The yields and their order stay the same, but
     fewer nodes are counted, so only a caller that needs no node count and
     whose budget covers the whole tree may ask for it.
     """
@@ -337,7 +338,7 @@ def _first_alternative(
 
 def _ambiguity_verdict(
     symbols: tuple[int, ...],
-    word: Sequence,
+    word: str,
     images: dict | Morphism,
     budget: int,
     lookahead: bool = False,
@@ -345,13 +346,13 @@ def _ambiguity_verdict(
     """Whether some assignment other than ``images`` maps the symbols onto
     ``word``, or None when the budget runs out first: the verdict of
     :func:`find_alternative` with ``images`` excluded and erasing allowed,
-    for a word that ``images`` produces, with no witness built.  The word
-    may be a str or a tuple; with the identity images of a canonical key,
-    the key is the word and the verdict is the key's fixed-point verdict.
+    for a word that ``images`` produces, with no witness built.  On a
+    canonical key and its :func:`_spelt` word and images, it is the key's
+    fixed-point verdict.
 
     A ``lookahead`` request is honoured only when the budget covers the
     whole search tree of the symbols on a word as long as they are, which
-    is every word it is asked for (a key spelt as a str, a 1-uniform image);
+    is every word it is asked for (a spelt key, a 1-uniform image);
     the walk then cannot run out, so the verdict is the same.  Under any
     other budget the plain walk runs, and runs out where the counted
     searches do."""
@@ -434,10 +435,20 @@ def _has_singleton(symbols: tuple[int, ...]) -> bool:
     return 2 * len(distinct) > n or 1 in map(symbols.count, distinct)
 
 
+def _spelt(key: tuple[int, ...]) -> tuple[str, dict[int, str]]:
+    """A canonical key spelt one code point per symbol, and the identity
+    images on that word; a symbol above 0x10FFFF raises DomainError."""
+    try:
+        word = "".join(map(chr, key))
+    except ValueError:
+        raise DomainError(f"a key with more than {0x10FFFF} variables cannot be spelt") from None
+    return word, dict(zip(key, word))
+
+
 def _fp_result(pattern: Pattern, assignment: dict, nodes: int) -> FixedPoint:
     orig = first_occurrence_order(pattern)
     mapping = {
-        orig[var - 1]: Pattern(tuple(orig[s - 1] for s in image))
+        orig[var - 1]: Pattern(tuple(orig[ord(c) - 1] for c in image))
         for var, image in assignment.items()
     }
     differing = min(var for var, image in mapping.items() if image.symbols != (var,))
@@ -451,22 +462,21 @@ def is_fixed_point(
 ) -> FixedPoint | NotFixedPoint | BudgetExhausted:
     """Decide whether the pattern is the fixed point of a nontrivial morphism.
 
-    This is the preimage search of the canonical key on itself, read as a
-    tuple word over its own variables, with the identity excluded: the
-    first alternative found is the witness substitution, renamed back to
-    the pattern's variables.  The key is always searched: the cache of
-    :func:`_key_verdict` holds verdicts without witnesses or node counts, and
-    this function neither reads nor writes it.
+    This is the preimage search of the canonical key on itself, spelt by
+    :func:`_spelt`, with the identity excluded: the first alternative found
+    is the witness substitution, renamed back to the pattern's variables.
+    The key is always searched: the cache of :func:`_key_verdict` holds
+    verdicts without witnesses or node counts, and this function neither
+    reads nor writes it.
     """
     key = canonical_symbols(pattern.symbols)
     if not key:
         raise DomainError("the pattern must be non-empty")
     _validate_budget(budget)
+    word, identity = _spelt(key)
     counter = [0]
     try:
-        found = _first_alternative(
-            _iter_assignments(key, key, 0, counter, budget), {s: (s,) for s in key}
-        )
+        found = _first_alternative(_iter_assignments(key, word, 0, counter, budget), identity)
     except _BudgetHit:
         return BudgetExhausted(nodes_explored=counter[0])
     if found is None:
@@ -492,6 +502,14 @@ def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bo
     return _key_verdict(canonical_symbols(symbols), budget)
 
 
+def _canonical_verdict(key: tuple[int, ...], budget: int) -> bool | None:
+    """:func:`fixed_point_verdict` of a non-empty canonical key, for a valid
+    budget, with no check and no canonicalisation."""
+    if _covers_search_tree(len(key), budget) and _has_singleton(key):
+        return True
+    return _key_verdict(key, budget)
+
+
 # Scans ask about the same short keys (deleted-variable images in particular)
 # over and over, so the verdicts are cached per canonical key and budget for
 # the life of the process.  A variable occurring once answers before the
@@ -503,18 +521,15 @@ def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     budget; every caller answers a variable occurring once itself, under a
     budget that covers the search tree.
 
-    Under a budget that does not cover the whole search tree the verdict is
-    ``_ambiguity_verdict(key, key, identity, budget)``, the plain walk on the
-    key as a tuple, which runs out exactly where :func:`is_fixed_point` does.
-    Under a covering budget the key answers through the lesser of itself and
-    its mirror, since phi fixes alpha iff the mirrored phi fixes alpha
-    reversed.  The lesser key is decided by :func:`_ambiguity_verdict` of
-    the key spelt as a str, with the identity excluded and the lookahead
-    walk, which cannot run out.
+    Under a covering budget the key answers through the lesser of itself
+    and its mirror, since phi fixes alpha iff the mirrored phi fixes alpha
+    reversed.  The key is decided by :func:`_ambiguity_verdict` on its
+    :func:`_spelt` word, with the lookahead walk under a covering budget,
+    where it cannot run out, and otherwise the plain walk, which runs out
+    exactly where :func:`is_fixed_point` does.
     """
-    if not _covers_search_tree(len(key), budget):
-        return _ambiguity_verdict(key, key, {s: (s,) for s in key}, budget)
-    mirrored = canonical_symbols(key[::-1])
-    if mirrored < key:
-        return _key_verdict(mirrored, budget)
-    return _ambiguity_verdict(key, "".join(map(chr, key)), {s: chr(s) for s in key}, budget, True)
+    if _covers_search_tree(len(key), budget):
+        mirrored = canonical_symbols(key[::-1])
+        if mirrored < key:
+            return _key_verdict(mirrored, budget)
+    return _ambiguity_verdict(key, *_spelt(key), budget, True)

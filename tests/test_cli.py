@@ -804,6 +804,20 @@ PINNED_RUNS = {
         0,
         '{"verdict": "unambiguous", "witness": null, "nodes": 87379}\n',
     ),
+    "census": (
+        "census --length 8 --min-vars 4",
+        0,
+        "length 8: 2978 fixed points (no unambiguous 1-uniform morphism)\n"
+        "vars least_k patterns\n"
+        "   4       2       33\n"
+        "   4       3       35\n",
+    ),
+    # the counted walk on the spelt key, below a covering budget
+    "fixed-point-budget": (
+        f'fixed-point --pattern "{HARD_PATTERN}" --budget 100 --json',
+        3,
+        '{"verdict": "budget-exhausted", "nodes": 100}\n',
+    ),
 }
 
 
@@ -888,6 +902,10 @@ CENSUS_TABLES = [
 ]
 
 
+# sha256 of the --jsonl file of `census --length 8 --min-vars 4`
+CENSUS_8_JSONL_SHA256 = "d5b23b520efe9a3bff3c8781bef0aa3f92d8b399d10a1050a087f3351a7dcfc2"
+
+
 class TestCensus:
     @pytest.mark.parametrize("argv, header, rows", CENSUS_TABLES)
     def test_table(self, capsys, argv, header, rows):
@@ -911,9 +929,29 @@ class TestCensus:
         assert tally == table
         assert len({record["pattern"] for record in records}) == len(records) == 32
 
+    def test_each_pattern_is_asked_once(self, capsys, monkeypatch, tmp_path):
+        # one fixed-point ask per pattern: the least-alphabet loop asks none,
+        # and the table and the JSONL bytes are what they were
+        asks = []
+        verdict = cli.fixed_point_verdict
+
+        def counted(pattern, **kwargs):
+            asks.append(pattern)
+            return verdict(pattern, **kwargs)
+
+        for module in (cli, explorer):
+            monkeypatch.setattr(module, "fixed_point_verdict", counted)
+        out_file = tmp_path / "census.jsonl"
+        code, out, _ = run_cli(capsys, "census", "--length", "8", "--min-vars", "4", "--jsonl", str(out_file))
+        assert (code, out) == PINNED_RUNS["census"][1:]
+        assert asks == list(explorer.enumerate_canonical_patterns(8, min_vars=4))
+        assert len(asks) == 2978 + 68
+        data = out_file.read_bytes()
+        assert (data.count(b"\n"), hashlib.sha256(data).hexdigest()) == (68, CENSUS_8_JSONL_SHA256)
+
     def test_full_alphabet_from_4_variables_is_exit_1(self, capsys, monkeypatch):
         # pretend only the full alphabet ever works
-        monkeypatch.setattr(cli, "least_uniform_alphabet", lambda pattern, max_k, **kw: max_k)
+        monkeypatch.setattr(cli, "_least_alphabet", lambda symbols, top, budget: top)
         code, out, err = run_cli(capsys, "census", "--length", "8", "--min-vars", "4")
         assert code == 1, err
         lines = out.splitlines()
@@ -923,7 +961,7 @@ class TestCensus:
         assert all(line.startswith("ATTENTION: needs the full alphabet despite >= 4 variables: ") for line in flagged)
 
     def test_inconsistency_is_exit_4(self, capsys, monkeypatch):
-        monkeypatch.setattr(cli, "least_uniform_alphabet", lambda *a, **kw: None)
+        monkeypatch.setattr(cli, "_least_alphabet", lambda *a: None)
         code, _, err = run_cli(capsys, "census", "--length", "3")
         assert code == 4
         assert "internal inconsistency: renaming must be unambiguous" in err

@@ -537,13 +537,15 @@ class TestScanRecord:
             assert copy == record
             assert copy.to_json() == record.to_json()
 
-    def test_records_and_reports_are_slotted_and_frozen(self):
+    def test_records_and_reports_are_frozen(self):
         record = HAND_BUILT_RECORDS[-1]
         for obj in (record, record.billaud):
-            assert not hasattr(obj, "__dict__")
             for field in dataclasses.fields(obj):
                 with pytest.raises(dataclasses.FrozenInstanceError):
                     setattr(obj, field.name, None)
+            # a name that is not a field is refused the same way
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(obj, "other", 1)
 
     def test_billaud_fragments_are_cached_per_report_shape(self):
         explorer._billaud_json.cache_clear()
@@ -678,6 +680,22 @@ class TestConjectureScan:
         monkeypatch.setattr(Pattern, "__post_init__", counted)
         records = list(conjecture_scan(8, target))
         assert len(built) == len(records)
+
+    @pytest.mark.parametrize("budget", [5, 60, DEFAULT_BUDGET])
+    @pytest.mark.parametrize("target", ["conjecture1", "conjecture2", "theorem7"])
+    def test_one_fixed_point_ask_per_record(self, monkeypatch, target, budget):
+        # the record's own verdict comes from one call on its key, budget
+        # hits included
+        asks = []
+        verdict = explorer._canonical_verdict
+
+        def counted(key, budget):
+            asks.append(key)
+            return verdict(key, budget)
+
+        monkeypatch.setattr(explorer, "_canonical_verdict", counted)
+        records = list(conjecture_scan(8, target, budget=budget))
+        assert asks == [record.pattern.symbols for record in records]
 
     def test_pair_core_asks_each_unordered_pair_once(self, monkeypatch):
         # the mirrored pair (j, i) merges to the same word up to renaming, so

@@ -266,6 +266,33 @@ class TestFixedPointVerdict:
         assert solver._key_verdict.cache_info().misses == warm.misses
         assert {expected for _, _, expected in asked} == {None, False, True}
 
+    def test_canonical_entry_matches_both_public_forms(self):
+        # every canonical key from a cold cache, just below, at and far above
+        # the tree bound: the scans' entry, fixed_point_verdict and
+        # is_fixed_point agree, and None is exactly BudgetExhausted
+        outcomes = set()
+        for length in range(1, 9):
+            gate = solver._SEARCH_TREE_BOUND[length]
+            for budget in (gate - 1, gate, solver.DEFAULT_BUDGET):
+                solver._key_verdict.cache_clear()
+                for pattern in enumerate_canonical_patterns(length):
+                    full = is_fixed_point(pattern, budget=budget)
+                    expected = None if isinstance(full, BudgetExhausted) else isinstance(full, FixedPoint)
+                    verdicts = (
+                        solver._canonical_verdict(pattern.symbols, budget),
+                        fixed_point_verdict(pattern, budget=budget),
+                    )
+                    assert verdicts == (expected, expected), (pattern, budget)
+                    outcomes.add(expected)
+        # the key 1 walks its whole tree, so one node below the bound runs out
+        assert outcomes == {None, False, True}
+
+    def test_spelling_stops_at_the_last_code_point(self):
+        assert solver._spelt((1, 2, 1)) == ("\x01\x02\x01", {1: "\x01", 2: "\x02"})
+        assert solver._spelt((1, 0x10FFFF))[0][-1] == chr(0x10FFFF)
+        with pytest.raises(DomainError):
+            solver._spelt((1, 0x110000))
+
     def test_bool_callers_build_no_witness(self, monkeypatch):
         def no_witness(*args, **kwargs):
             raise AssertionError("a bool-only caller built a witness or a morphism")
@@ -750,12 +777,13 @@ def run_search(search, symbols, word, min_len, budget):
 
 
 def solver_core_inputs():
-    """Each canonical pattern of length <= 7 as its own word, and each one of
-    length <= 6 under its binary and ternary first-occurrence 1-uniform
-    images, with the pattern's length."""
+    """Each canonical pattern of length <= 7 as its own word, tuple and
+    spelt, and each one of length <= 6 under its binary and ternary
+    first-occurrence 1-uniform images, with the pattern's length."""
     for length in range(1, 8):
         for pattern in enumerate_canonical_patterns(length):
             yield length, pattern.symbols, pattern.symbols
+            yield length, pattern.symbols, solver._spelt(pattern.symbols)[0]
             if length <= 6:
                 for letters in ("ab", "abc"):
                     image = "".join(letters[(v - 1) % len(letters)] for v in pattern.symbols)
@@ -817,6 +845,7 @@ class TestSolverCore:
             pattern, sigma = shortest_non_fixed_point(n)
             key = canonical_form(pattern).symbols
             assert_matches_reference(key, key, inf)
+            assert_matches_reference(key, solver._spelt(key)[0], inf)
             assert_matches_reference(pattern.symbols, sigma.apply(pattern), inf)
 
     def test_empty_pattern_matches_the_reference(self):
