@@ -39,7 +39,8 @@ DB_PATTERN_SAMPLE = "1 1 2 3 4 2 2 4 4 3"
 
 
 def _unambiguous(sigma: Morphism, pattern: Pattern) -> bool:
-    verdict = _ambiguity_verdict(pattern.symbols, sigma.apply(pattern), sigma, DEFAULT_BUDGET)
+    images = {v: sigma[v] for v in pattern.variables}
+    verdict = _ambiguity_verdict(pattern.symbols, sigma.apply(pattern), images, DEFAULT_BUDGET)
     if verdict is None:
         raise BudgetError(f"ambiguity check of {sigma} on {pattern} exceeded {DEFAULT_BUDGET} nodes")
     return not verdict

@@ -74,9 +74,9 @@ def _sigma_ij_pair(pattern: Pattern, budget: int) -> tuple[int, int] | None:
 
     Each pair's merged image is the pattern spelt with one letter per
     variable, by rank as :func:`merge_morphism` assigns them, with j's
-    letter replaced by i's; the solver gives only its verdict.  Each run
-    asks for the lookahead walk, which the solver takes only under a budget
-    that covers the search tree, since the image is as long as the pattern.
+    letter replaced by i's; the solver gives only its verdict, with the
+    lookahead walk under a budget that covers the search tree wherever the
+    merged image has three or more letters.
     """
     variables = sorted(pattern.variables)
     symbols = pattern.symbols
@@ -91,7 +91,7 @@ def _sigma_ij_pair(pattern: Pattern, budget: int) -> tuple[int, int] | None:
         if clauses is not None and clauses(i, j)[-1]:
             return (i, j)
         merged = spelt.replace(letters[j], letters[i])
-        verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget, True)
+        verdict = _ambiguity_verdict(symbols, merged, {**letters, j: letters[i]}, budget)
         if verdict is None:
             raise BudgetError(f"solver run for the pair ({i}, {j}) exceeded {budget} nodes")
         if not verdict:
@@ -118,8 +118,7 @@ def search_1uniform(
     every nonerasing morphism is ambiguous there: the answer is None and no
     coloring reaches the solver.  A check that runs out of budget falls
     through to the sweep; so on a fixed point, a budget that covers the
-    check but not the sweep gives None, not BudgetError.  The colorings are
-    decided by the plain walk (see :func:`_first_unambiguous`).
+    check but not the sweep gives None, not BudgetError.
 
     Colorings of the variables (ordered by first occurrence) are enumerated
     up to letter-renaming symmetry, which is lossless: ambiguity depends only
@@ -143,14 +142,7 @@ def _first_unambiguous(
     morphism is unambiguous with respect to the symbols, or None.  Colorings
     are canonical sequences: the i-th symbol is the letter number, from 1, of
     the i-th variable in first-occurrence order.  The image word is spelt
-    from the images, and the solver gives only its verdict.
-
-    The solver runs its plain walk, not the lookahead one that the pair
-    search uses.  On a short word with few letters, such as the length-7
-    colorings of the uniform-sweep benchmark, nearly every image occurs
-    again and the lookahead's test at each choice point costs more than the
-    nodes it saves; the least-alphabet colorings, with up to v - 1 letters
-    for v variables, save time with it from length 9 on (see README)."""
+    from the images, and the solver gives only its verdict."""
     ordered = tuple(dict.fromkeys(symbols))
     for coloring in colorings:
         images = dict(zip(ordered, [ALPHABET[c - 1] for c in coloring]))

@@ -28,10 +28,10 @@ remembered subtrees included; on such decomposable patterns it no longer
 tracks time.
 
 A search that needs only a verdict, under a budget that covers its whole
-tree, may also stop each choice point at the longest image that occurs
-again later in the word (occurrence lookahead).  It yields the same
-assignments from fewer nodes, so no search that reports a node count or a
-witness uses it.
+tree, on a word of three or more letters, also stops each choice point at
+the longest image that occurs again later in the word (occurrence
+lookahead).  It yields the same assignments from fewer nodes, so no search
+that reports a node count or a witness uses it.
 
 A fixed-point search walks the canonical key spelt one code point per
 symbol.  A verdict without a witness is a pure function of the key and the
@@ -133,8 +133,9 @@ def _iter_assignments(
     again after its own end: a shorter image occurs wherever a longer one
     does, and any image must occur again to match the slot's next
     occurrence.  The yields and their order stay the same, but
-    fewer nodes are counted, so only a caller that needs no node count and
-    whose budget covers the whole tree may ask for it.
+    fewer nodes are counted, so only :func:`_ambiguity_verdict`, which
+    needs no node count and sets it only under a budget that covers the
+    whole tree, asks for it.
     """
     n = len(symbols)
     total = len(word)
@@ -288,75 +289,64 @@ def find_alternative(
 
     With no excluded morphism, any preimage counts and the witness carries no
     differing variable.  Otherwise the witness is the first alternative of
-    the walk, and its differing variable the least one it maps differently.
-    Identical queries return identical results, witness and node count
-    included.
+    the walk, and its differing variable the least one it maps differently;
+    no other search names one.  Identical queries return identical results,
+    witness and node count included.
     """
     if not pattern:
         raise DomainError("the pattern must be non-empty")
     validate_word(word)
     _validate_budget(budget)
+    images = None
     if excluded is not None:
         missing = pattern.variables - excluded.domain
         if missing:
             raise DomainError(f"excluded morphism does not cover variables {sorted(missing)}")
         if excluded.apply(pattern) != word:
             raise DomainError("excluded morphism does not map the pattern onto the word")
+        images = {v: excluded[v] for v in pattern.variables}
     counter = [0]
     min_len = 0 if allow_erasing else 1
     try:
         found = _first_alternative(
-            _iter_assignments(pattern.symbols, word, min_len, counter, budget), excluded
+            _iter_assignments(pattern.symbols, word, min_len, counter, budget), images
         )
     except _BudgetHit:
         return BudgetExhausted(nodes_explored=counter[0])
     if found is None:
         return NoWitness(nodes_explored=counter[0])
-    assignment, differing = found
-    return Witness(
-        tau=Morphism.of(assignment), differing_variable=differing, nodes_explored=counter[0]
-    )
+    differing = None if images is None else min(v for v in found if found[v] != images[v])
+    return Witness(tau=Morphism.of(found), differing_variable=differing, nodes_explored=counter[0])
 
 
-def _first_alternative(
-    assignments: Iterator[dict], images: dict | Morphism | None
-) -> tuple[dict, int | None] | None:
-    """The first assignment of the walk that differs from ``images``, with
-    the least variable it maps differently, or None when the walk ends.
-
-    With ``images`` None the first assignment counts, with no differing
-    variable.  A _BudgetHit from the walk passes through.
-    """
+def _first_alternative(assignments: Iterator[dict], images: dict | None) -> dict | None:
+    """The first assignment of the walk unequal to ``images``, a dict over
+    exactly the walk's variables, or None when the walk ends; with
+    ``images`` None the first assignment counts.  A _BudgetHit from the walk
+    passes through."""
     for assignment in assignments:
-        if images is None:
-            return assignment, None
-        for var in sorted(assignment):
-            if assignment[var] != images[var]:
-                return assignment, var
+        if assignment != images:
+            return assignment
     return None
 
 
-def _ambiguity_verdict(
-    symbols: tuple[int, ...],
-    word: str,
-    images: dict | Morphism,
-    budget: int,
-    lookahead: bool = False,
-) -> bool | None:
-    """Whether some assignment other than ``images`` maps the symbols onto
-    ``word``, or None when the budget runs out first: the verdict of
-    :func:`find_alternative` with ``images`` excluded and erasing allowed,
-    for a word that ``images`` produces, with no witness built.  On a
-    canonical key and its :func:`_spelt` word and images, it is the key's
-    fixed-point verdict.
+def _ambiguity_verdict(symbols: tuple[int, ...], word: str, images: dict, budget: int) -> bool | None:
+    """Whether some assignment other than ``images``, a dict over exactly
+    the symbols' variables, maps the symbols onto ``word``, or None when
+    the budget runs out first: the verdict of :func:`find_alternative` with
+    ``images`` excluded and erasing allowed, for a word that ``images``
+    produces, with no witness built.  On a canonical key and its
+    :func:`_spelt` word and images, it is the key's fixed-point verdict.
 
-    A ``lookahead`` request is honoured only when the budget covers the
-    whole search tree of the symbols on a word as long as they are, which
-    is every word it is asked for (a spelt key, a 1-uniform image);
-    the walk then cannot run out, so the verdict is the same.  Under any
-    other budget the plain walk runs, and runs out where the counted
-    searches do."""
-    lookahead = lookahead and _covers_search_tree(len(symbols), budget)
+    The walk takes the lookahead exactly when two things hold.  The budget
+    covers the whole search tree of the symbols on a word as long as they
+    are, as every word asked for is (a spelt key or a 1-uniform image), so
+    the walk cannot run out and the verdict is the same.  And the word has
+    three or more letters: on one or two, nearly every image occurs again,
+    and the test at each choice point costs more than the nodes it saves.
+    Otherwise the plain walk runs, and runs out where the counted searches
+    do."""
+    lookahead = _covers_search_tree(len(symbols), budget) and len(set(word)) > 2
     try:
         walk = _iter_assignments(symbols, word, 0, [0], budget, lookahead)
         return _first_alternative(walk, images) is not None
@@ -376,8 +366,6 @@ def is_ambiguous(
     A Witness result means ambiguous; NoWitness means unambiguous (weakly so
     when erasing alternatives are disallowed).
     """
-    if not pattern:
-        raise DomainError("the pattern must be non-empty")
     missing = pattern.variables - sigma.domain
     if missing:
         raise DomainError(f"morphism does not cover variables {sorted(missing)}")
@@ -481,7 +469,7 @@ def is_fixed_point(
         return BudgetExhausted(nodes_explored=counter[0])
     if found is None:
         return NotFixedPoint(nodes_explored=counter[0])
-    return _fp_result(pattern, found[0], counter[0])
+    return _fp_result(pattern, found, counter[0])
 
 
 def fixed_point_verdict(pattern: Pattern, *, budget: int = DEFAULT_BUDGET) -> bool | None:
@@ -524,12 +512,12 @@ def _key_verdict(key: tuple[int, ...], budget: int) -> bool | None:
     Under a covering budget the key answers through the lesser of itself
     and its mirror, since phi fixes alpha iff the mirrored phi fixes alpha
     reversed.  The key is decided by :func:`_ambiguity_verdict` on its
-    :func:`_spelt` word, with the lookahead walk under a covering budget,
-    where it cannot run out, and otherwise the plain walk, which runs out
-    exactly where :func:`is_fixed_point` does.
+    :func:`_spelt` word: the lookahead walk under a covering budget, where
+    it cannot run out, unless the key has one or two variables; otherwise
+    the plain walk, which runs out exactly where :func:`is_fixed_point` does.
     """
     if _covers_search_tree(len(key), budget):
         mirrored = canonical_symbols(key[::-1])
         if mirrored < key:
             return _key_verdict(mirrored, budget)
-    return _ambiguity_verdict(key, *_spelt(key), budget, True)
+    return _ambiguity_verdict(key, *_spelt(key), budget)

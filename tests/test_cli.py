@@ -779,6 +779,11 @@ PINNED_RUNS = {
     "conjecture3": (C3, 0, SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET]),
     "conjecture3-workers-2": (f"{C3} --workers 2", 0, SCAN_DIGESTS["conjecture3", DEFAULT_BUDGET]),
     "conjecture1": ("scan --target conjecture1 --max-len 8", 0, SCAN_DIGESTS["conjecture1", DEFAULT_BUDGET]),
+    "conjecture1-workers-2": (
+        "scan --target conjecture1 --max-len 8 --workers 2",
+        0,
+        SCAN_DIGESTS["conjecture1", DEFAULT_BUDGET],
+    ),
     "conjecture2": ("scan --target conjecture2 --max-len 8", 0, SCAN_DIGESTS["conjecture2", DEFAULT_BUDGET]),
     "theorem7-10": ("scan --target theorem7 --max-len 10", 0, LONGER_SCAN_DIGESTS["theorem7", 10]),
     "conjecture3-60": (f"{C3} --budget 60", 3, SCAN_DIGESTS["conjecture3", 60]),

@@ -721,14 +721,14 @@ class TestConjectureScan:
 
             return recorded
 
-        def run(symbols, word, images, budget, lookahead=False):
+        def run(symbols, word, images, budget):
             # the merged image gives j the letter of i
             variables = sorted(set(symbols))
             (j,) = [v for rank, v in enumerate(variables) if images[v] != ALPHABET[rank]]
             pair = (variables[ALPHABET.index(images[j])], j)
             if tried[-1][-1:] != [pair]:
                 tried[-1].append(pair)
-            return verdict(symbols, word, images, budget, lookahead)
+            return verdict(symbols, word, images, budget)
 
         monkeypatch.setattr(explorer, "_sigma_ij_pair", searched)
         monkeypatch.setattr(explorer, "_pair_clauses", recording)

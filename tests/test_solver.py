@@ -956,8 +956,10 @@ class TestLookahead:
                     lookahead_nodes += ahead[0]
         assert lookahead_nodes < plain_nodes
 
-    def test_the_verdict_search_honours_lookahead_only_under_a_covering_budget(self, monkeypatch):
-        # the gate is the verdict search's own, whatever its caller asks
+    def test_the_verdict_search_takes_lookahead_on_three_letters_under_a_covering_budget(self, monkeypatch):
+        # the verdict search alone decides: the lookahead walk exactly when
+        # the budget covers the search tree and the word has three or more
+        # letters, whatever the number of variables
         flags = []
 
         def recording(symbols, word, min_len, counter, budget, lookahead=False):
@@ -965,22 +967,50 @@ class TestLookahead:
             return PLAIN_WALK(symbols, word, min_len, counter, budget, lookahead)
 
         monkeypatch.setattr(solver, "_iter_assignments", recording)
-        for text in ("1 2 1 2", "1 2 3 1 3 2", "1 2 1 3 1 2 3 3 2", "1 2 " * 16):
+        taken = 0
+        for text in ("1 2 1 2", "1 2 3 1 3 2", "1 2 1 3 1 2 3 3 2", "1 2 3 4 2 1 4 3", "1 2 " * 16, "1 2 3 " * 11):
             symbols = parse_pattern(text).symbols
-            word = "".join(ALPHABET[s - 1] for s in symbols)
-            images = {s: ALPHABET[s - 1] for s in symbols}
             n = len(symbols)
-            if n < len(solver._SEARCH_TREE_BOUND):
-                gate = solver._SEARCH_TREE_BOUND[n]
-                cases = [(gate - 1, False), (gate, True), (solver.DEFAULT_BUDGET, gate <= solver.DEFAULT_BUDGET)]
-            else:
-                # beyond the table no budget covers the tree
-                cases = [(solver.DEFAULT_BUDGET, False)]
-            for budget, honoured in cases:
-                for asked in (True, False):
+            ordered = list(dict.fromkeys(symbols))
+            for letters in ("a", "ab", ALPHABET):
+                # the variables colored in first-occurrence order
+                images = {v: letters[rank % len(letters)] for rank, v in enumerate(ordered)}
+                word = "".join(images[s] for s in symbols)
+                many = len(set(word)) > 2
+                if n < len(solver._SEARCH_TREE_BOUND):
+                    gate = solver._SEARCH_TREE_BOUND[n]
+                    cases = [(gate - 1, False), (gate, many), (solver.DEFAULT_BUDGET, many)]
+                else:
+                    # beyond the table no budget covers the tree
+                    cases = [(solver.DEFAULT_BUDGET, False)]
+                for budget, expected in cases:
                     flags.clear()
-                    solver._ambiguity_verdict(symbols, word, images, budget, asked)
-                    assert flags == [asked and honoured], (text, budget, asked)
+                    solver._ambiguity_verdict(symbols, word, images, budget)
+                    assert flags == [expected], (text, word, budget)
+                    taken += expected
+        assert taken == 6
+
+    def test_lookahead_walk_matches_the_plain_walk_on_three_letter_colorings(self):
+        # the colorings that the verdict search walks with the lookahead:
+        # those with three or more letters of the non-fixed-point patterns
+        # of length 9 with at least 4 variables
+        plain_nodes = lookahead_nodes = walks = 0
+        for pattern in enumerate_canonical_patterns(9, min_vars=4):
+            if fixed_point_verdict(pattern):
+                continue
+            symbols = pattern.symbols
+            for coloring in canonical_colorings(len(pattern.variables), len(pattern.variables)):
+                if len(set(coloring)) < 3:
+                    continue
+                word = "".join(ALPHABET[coloring[s - 1]] for s in symbols)
+                plain, ahead = [0], [0]
+                expected = list(PLAIN_WALK(symbols, word, 0, plain, inf))
+                assert list(PLAIN_WALK(symbols, word, 0, ahead, inf, True)) == expected, (pattern, word)
+                plain_nodes += plain[0]
+                lookahead_nodes += ahead[0]
+                walks += 1
+        assert walks == 7420
+        assert lookahead_nodes < plain_nodes
 
     def test_budgets_that_do_not_cover_the_tree_get_the_plain_answer(self, monkeypatch):
         # below the tree bound the verdict-only searches walk as the counted
