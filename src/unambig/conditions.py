@@ -27,12 +27,12 @@ from .solver import (
     fixed_point_verdict,
 )
 from .words import (
+    BOUNDARY,
     Pattern,
     canonical_symbols,
     factor_multiplicity,
     first_occurrence_order,
     fixed_point_by_neighbourhoods,
-    neighbourhoods,
     word_to_pattern,
 )
 
@@ -58,41 +58,45 @@ def _pair_clauses(pattern: Pattern):
     """A function of a pair (i, j) giving the fields of its
     PairConditionReport, in order.
 
-    What does not depend on the pair is computed once, here.
+    What does not depend on the pair is computed once, here: each
+    variable's positions and the symbol before and after every position,
+    the boundary at the ends.  A variable k sees both i and j on its left
+    iff it follows an occurrence of each, so the clauses are read from the
+    symbols after (or before) i's and j's positions; no neighbourhood set
+    is built.
     """
     counts = set(pattern.multiplicities.values())
     uniform = counts.pop() if len(counts) == 1 else None
     uniform_ok = uniform is not None and uniform >= 2
-    nbh = neighbourhoods(pattern)
-    variables = sorted(pattern.variables)
-    lefts = [(k, nbh.left[k]) for k in variables]
-    rights = [(k, nbh.right[k]) for k in variables]
-    factor_positions: dict[tuple[int, int], list[int]] = {}
-    for p, factor in enumerate(zip(pattern.symbols, pattern.symbols[1:])):
-        factor_positions.setdefault(factor, []).append(p)
+    symbols = pattern.symbols
+    before = (BOUNDARY,) + symbols
+    after = symbols[1:] + (BOUNDARY,)
+    positions: dict[int, list[int]] = {}
+    for p, s in enumerate(symbols):
+        positions.setdefault(s, []).append(p)
+
+    def least_shared(neighbours: tuple[int, ...], at_i: list[int], at_j: list[int]) -> int | None:
+        # the boundary is next to one position only, so two distinct
+        # variables never share it
+        shared = {neighbours[a] for a in at_i}.intersection([neighbours[b] for b in at_j])
+        return min(shared, default=None)
 
     def clauses(i: int, j: int) -> tuple[int | None, int | None, int | None, bool, bool]:
-        pair = {i, j}
-        left = _least_holder(lefts, pair)
-        right = _least_holder(rights, pair)
+        at_i = positions[i]
+        at_j = positions[j]
+        left = least_shared(after, at_i, at_j)
+        right = least_shared(before, at_i, at_j)
         # Disjoint occurrences only; overlapping ones like i j i share the
         # middle symbol and do not count.  Erasing j and doubling i (or vice
         # versa) re-parses the merged image exactly when both orientations
         # occur apart, so the test must be blind to which orientation comes
         # first.
-        ij = factor_positions.get((i, j))
-        ji = factor_positions.get((j, i))
+        ij = [a for a in at_i if after[a] == j]
+        ji = [b for b in at_j if after[b] == i]
         apart = bool(ij and ji) and (ji[-1] >= ij[0] + 2 or ij[-1] >= ji[0] + 2)
         return uniform, left, right, apart, uniform_ok and left is None and right is None and not apart
 
     return clauses
-
-
-def _least_holder(sides: list[tuple[int, frozenset[int]]], pair: set[int]) -> int | None:
-    for k, side in sides:
-        if pair <= side:
-            return k
-    return None
 
 
 def pair_condition(pattern: Pattern, i: int, j: int) -> PairConditionReport:

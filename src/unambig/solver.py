@@ -30,8 +30,10 @@ tracks time.
 A search that needs only a verdict, under a budget that covers its whole
 tree, on a word of three or more letters, also stops each choice point at
 the longest image that occurs again later in the word (occurrence
-lookahead).  It yields the same assignments from fewer nodes, so no search
-that reports a node count or a witness uses it.
+lookahead).  Each word position is probed once per walk, for as long an
+image as any choice point opening there may take.  The walk yields the same
+assignments from fewer nodes, so no search that reports a node count or a
+witness uses it.
 
 A fixed-point search walks the canonical key spelt one code point per
 symbol.  A verdict without a witness is a pure function of the key and the
@@ -132,10 +134,13 @@ def _iter_assignments(
     than the last slot, stops at the longest image that occurs in ``word``
     again after its own end: a shorter image occurs wherever a longer one
     does, and any image must occur again to match the slot's next
-    occurrence.  The yields and their order stay the same, but
-    fewer nodes are counted, so only :func:`_ambiguity_verdict`, which
-    needs no node count and sets it only under a budget that covers the
-    whole tree, asks for it.
+    occurrence.  Whether an image occurs again depends on its word
+    position and length alone, so the walk finds each position's count
+    once, up to the longest image that position has been asked for so far,
+    and resumes it only when a later opening there allows longer images.
+    The yields and their order stay the same, but fewer nodes are counted,
+    so only :func:`_ambiguity_verdict`, which needs no node count and sets
+    it only under a budget that covers the whole tree, asks for it.
     """
     n = len(symbols)
     total = len(word)
@@ -191,6 +196,10 @@ def _iter_assignments(
     # opened[s]: the node count when slot s's choice point opened; yielded:
     # the node count at the last yield
     memo: dict[tuple[int, int], int] = {}
+    # again[q]: the longest image at word position q known to occur again
+    # after its own end, as counted so far; ~count once a failed find has
+    # ended the count, so it is final.  The empty image always occurs again.
+    again = [0] * (total + 1) if lookahead else None
     opened = [0] * len(order)
     yielded = -1
     # p, q: positions in symbols and word; reach: the least length of the
@@ -245,11 +254,16 @@ def _iter_assignments(
                 cp, cq, x, ln = p, q, s, min_len - 1
                 hi = (total - base) // occ
                 if lookahead and occ > 1:
-                    # the empty image always occurs again
-                    top = 0
-                    while top < hi and word.find(word[q : q + top + 1], q + top + 1) >= 0:
-                        top += 1
-                    hi = top
+                    top = again[q]
+                    if top < 0:
+                        # a failed find ended the count at q
+                        top = ~top
+                    elif top < hi:
+                        while top < hi and word.find(word[q : q + top + 1], q + top + 1) >= 0:
+                            top += 1
+                        again[q] = top if top == hi else ~top
+                    if top < hi:
+                        hi = top
                 break
             k = len(img)
             if word[q : q + k] != img:

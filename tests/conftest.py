@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, settings
 
 from unambig import solver
 from unambig.morphisms import Morphism, Substitution
-from unambig.words import Pattern
+from unambig.words import Pattern, neighbourhoods
 
 settings.register_profile(
     "suite",
@@ -78,6 +78,25 @@ def oracle_fixed_point_morphisms(pattern: Pattern) -> list[Substitution]:
         if any(images[v].symbols != (v,) for v in variables):
             found.append(phi)
     return found
+
+
+def oracle_pair_clauses(pattern: Pattern, i: int, j: int) -> tuple:
+    """The fields of the pair condition's report for (i, j), in order, read
+    off their definition: the least variable whose left (or right)
+    neighbourhood holds both i and j, and disjoint occurrences of the
+    factors i j and j i, found among the positions of every factor."""
+    multiplicities = set(pattern.multiplicities.values())
+    uniform = multiplicities.pop() if len(multiplicities) == 1 else None
+    nbh = neighbourhoods(pattern)
+    variables = sorted(pattern.variables)
+    left = next((k for k in variables if {i, j} <= nbh.left[k]), None)
+    right = next((k for k in variables if {i, j} <= nbh.right[k]), None)
+    factors = list(zip(pattern.symbols, pattern.symbols[1:]))
+    ij = [p for p, factor in enumerate(factors) if factor == (i, j)]
+    ji = [p for p, factor in enumerate(factors) if factor == (j, i)]
+    apart = any(abs(a - b) >= 2 for a in ij for b in ji)
+    passes = uniform is not None and uniform >= 2 and left is None and right is None and not apart
+    return uniform, left, right, apart, passes
 
 
 def naive_canonical_patterns(length: int) -> list[Pattern]:

@@ -785,6 +785,7 @@ PINNED_RUNS = {
         SCAN_DIGESTS["conjecture1", DEFAULT_BUDGET],
     ),
     "conjecture2": ("scan --target conjecture2 --max-len 8", 0, SCAN_DIGESTS["conjecture2", DEFAULT_BUDGET]),
+    "conjecture2-9": ("scan --target conjecture2 --max-len 9", 0, LONGER_SCAN_DIGESTS["conjecture2", 9]),
     "theorem7-10": ("scan --target theorem7 --max-len 10", 0, LONGER_SCAN_DIGESTS["theorem7", 10]),
     "conjecture3-60": (f"{C3} --budget 60", 3, SCAN_DIGESTS["conjecture3", 60]),
     "conjecture3-60-workers-2": (f"{C3} --budget 60 --workers 2", 3, SCAN_DIGESTS["conjecture3", 60]),

@@ -1,9 +1,12 @@
+import itertools
+
 import pytest
 from hypothesis import given
 
 from unambig import solver
 from unambig.conditions import (
     BillaudReport,
+    _pair_clauses,
     billaud_instance,
     candidate_pairs,
     fixed_point_by_neighbourhoods,
@@ -25,7 +28,7 @@ from unambig.solver import (
 )
 from unambig.words import BOUNDARY, Pattern, neighbourhoods, parse_pattern
 
-from conftest import naive_canonical_patterns, pattern_strategy
+from conftest import naive_canonical_patterns, oracle_pair_clauses, pattern_strategy
 
 A0 = parse_pattern("1 2 3 1 3 2")
 A1 = parse_pattern("1 2 3 4 1 4 3 2")
@@ -116,6 +119,24 @@ class TestPairCondition:
             pair_condition(A1, 1, 1)
         with pytest.raises(DomainError):
             pair_condition(A1, 1, 9)
+
+    def test_clauses_match_their_definition_on_every_short_pattern(self):
+        pairs = 0
+        for length in range(2, 9):
+            for pattern in enumerate_canonical_patterns(length):
+                clauses = _pair_clauses(pattern)
+                for i, j in itertools.permutations(sorted(pattern.variables), 2):
+                    assert clauses(i, j) == oracle_pair_clauses(pattern, i, j), (pattern, i, j)
+                    pairs += 1
+        assert pairs > 0
+
+    @given(pattern_strategy(min_len=2, max_len=30, max_vars=4))
+    def test_clauses_match_their_definition_on_long_patterns(self, pattern):
+        # long patterns over at most four variables give neighbourhoods of
+        # three or more symbols, so several variables may hold the pair
+        clauses = _pair_clauses(pattern)
+        for i, j in itertools.permutations(sorted(pattern.variables), 2):
+            assert clauses(i, j) == oracle_pair_clauses(pattern, i, j), (pattern, i, j)
 
     @given(pattern_strategy(min_len=2, max_len=8, max_vars=4))
     def test_order_of_arguments_is_immaterial(self, pattern):

@@ -459,7 +459,7 @@ class TestFixedPointShortcuts:
         assert asked > 0
 
     def test_the_search_finds_every_neighbourhood_certified_key(self):
-        # the verdict cache is filled by the lookahead walk alone, so it
+        # the verdict cache is filled by the verdict walk alone, so it
         # must answer True wherever the neighbourhood shape certifies a
         # fixed point; no variable occurs once, so the walk decides each
         certified_keys = {}
@@ -955,6 +955,30 @@ class TestLookahead:
                     plain_nodes += plain[0]
                     lookahead_nodes += ahead[0]
         assert lookahead_nodes < plain_nodes
+
+    def test_lookahead_probes_each_position_once_per_walk(self):
+        # whether an image occurs again depends on its position and length
+        # alone, so no walk asks the same (position, length) twice
+        probes = []
+
+        class RecordingWord(str):
+            def find(self, needle, start):
+                probes.append((start - len(needle), len(needle)))
+                return super().find(needle, start)
+
+        walks = probed = 0
+        for pattern in enumerate_canonical_patterns(10, min_vars=4, uniform_multiplicity=2):
+            symbols = pattern.symbols
+            merged = merge_morphism(sorted(pattern.variables), 1, 2).apply(pattern)
+            for word in (solver._spelt(symbols)[0], merged):
+                probes.clear()
+                expected = list(PLAIN_WALK(symbols, word, 0, [0], inf))
+                got = list(PLAIN_WALK(symbols, RecordingWord(word), 0, [0], inf, True))
+                assert got == expected, (pattern, word)
+                assert len(set(probes)) == len(probes), (pattern, word)
+                walks += 1
+                probed += len(probes)
+        assert walks == 1890 and probed > 0
 
     def test_the_verdict_search_takes_lookahead_on_three_letters_under_a_covering_budget(self, monkeypatch):
         # the verdict search alone decides: the lookahead walk exactly when
