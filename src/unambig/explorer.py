@@ -36,6 +36,8 @@ SCAN_TARGETS = ("conjecture1", "conjecture2", "conjecture3", "theorem7")
 
 # JSON spellings of a record's flags and verdicts
 _JSON_LITERAL = {True: "true", False: "false", None: "null"}
+# the text of every symbol an enumerated pattern can hold, by value
+_SYMBOL_TEXT = tuple(map(str, range(MAX_ENUMERATION_LENGTH + 1)))
 
 
 def search_sigma_ij(
@@ -252,11 +254,18 @@ class ScanRecord:
     def to_json(self) -> str:
         """One JSON line, keys in field order: what ``json.dumps`` gives for
         the record's dict, written out directly.  A Billaud report's object
-        is written once per report shape (:func:`_billaud_json`)."""
+        is written once per report shape (:func:`_billaud_json`).  Symbols
+        are read from a table; a record read back with larger ones, which
+        :meth:`from_json` accepts, writes them with ``str``."""
+        symbols = self.pattern.symbols
+        try:
+            text = " ".join(map(_SYMBOL_TEXT.__getitem__, symbols))
+        except IndexError:
+            text = " ".join(map(str, symbols))
         pair = self.best_sigma_ij
         k = self.best_uniform_k
         line = (
-            f'{{"pattern": "{" ".join(map(str, self.pattern.symbols))}", "is_fixed_point": {_JSON_LITERAL[self.is_fixed_point]}, '
+            f'{{"pattern": "{text}", "is_fixed_point": {_JSON_LITERAL[self.is_fixed_point]}, '
             f'"var_count": {self.var_count}, "best_sigma_ij": {f"[{pair[0]}, {pair[1]}]" if pair else "null"}, '
             f'"best_uniform_k": {"null" if k is None else k}, "budget_hit": {_JSON_LITERAL[self.budget_hit]}, '
             f'"finding": {_JSON_LITERAL[self.finding]}'

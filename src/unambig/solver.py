@@ -14,9 +14,12 @@ are disallowed), and pruning never changes the order in which solutions
 appear.  One node is one candidate image counted for an unassigned variable.
 The last variable opens no choice point: at most one of its lengths can end
 on the word's end, so all its candidates are counted in one step and only
-that length is tried.  The search walks the pattern with an explicit stack
-of choice points, one per assigned variable but the last, so its depth is
-bounded by memory, not by the interpreter's recursion limit.
+that length is tried.  The variable before it, the deepest choice, opens
+none either: its candidates run in one loop, each followed by the last
+variable's step, and count the same nodes.  The search walks the pattern
+with an explicit stack of choice points, one per assigned variable but the
+last two, so its depth is bounded by memory, not by the interpreter's
+recursion limit.
 
 Where the pattern splits as alpha = beta gamma with no variable in both
 halves, the search below the first variable of gamma depends only on the
@@ -117,21 +120,27 @@ def _iter_assignments(
     stretch (or shrink) to exactly the remaining word.
     One node is one candidate image counted.  The last slot opens no choice
     point: its candidates are counted in one step, and only the length that
-    ends on the word's end, when whole, is tried.  ``counter[0]`` holds the
-    node count whenever an assignment is yielded and when the search ends;
-    counting a node beyond ``budget`` raises _BudgetHit with
-    ``counter[0] == budget``.
+    ends on the word's end, when whole, is tried.  The penultimate slot opens
+    none either: its candidates run in one loop.  Each counts its node and
+    checks the symbols between the penultimate slot's first occurrence and
+    the last slot's (the stretch); one that passes takes the last slot's
+    step, and only a whole length checks the symbols after the last slot's
+    first occurrence (the tail).  The nodes, the yields and their order are
+    those of a choice point per slot.  ``counter[0]`` holds the node count
+    whenever an assignment is yielded and when the search ends; counting a
+    node beyond ``budget`` raises _BudgetHit with ``counter[0] == budget``.
 
     A cut slot's first occurrence follows every occurrence of every earlier
     slot, so the subtree of its choice point reads no earlier image and is
     a function of the word position alone.  A cut choice point exhausted
     with no yield since it opened leaves its node count in ``memo``; a later
     opening at the same position counts those nodes at once and is
-    exhausted.  The last slot's count is a function of the position too,
-    found in one step, so it keeps no memo entry.
+    exhausted.  The penultimate slot's loop does the same.  The last slot's
+    count is a function of the position too, found in one step, so it keeps
+    no memo entry.
 
-    With ``lookahead``, a choice point of a slot that occurs again, other
-    than the last slot, stops at the longest image that occurs in ``word``
+    With ``lookahead``, the candidates of a slot that occurs again, other
+    than the last slot, stop at the longest image that occurs in ``word``
     again after its own end: a shorter image occurs wherever a longer one
     does, and any image must occur again to match the slot's next
     occurrence.  Whether an image occurs again depends on its word
@@ -171,13 +180,17 @@ def _iter_assignments(
         return
     # the last slot opens no choice point, so its cut flag is never read and
     # it keeps no memo entry; it occurs lo times, and under reach its longest
-    # image is (span - reach) // lo
+    # image is (span - reach) // lo.  The penultimate slot pen runs its
+    # candidates in one loop; its stretch and tail are found when it first
+    # opens, so a walk that ends before that pays nothing for them.
     last = len(order) - 1
+    pen = last - 1
     lo = counts[last]
     span = total + lo * min_len
     if min_len * n > total:
         counter[0] = 0
         return
+    stretch = tail = None
     # Variable slots are assigned in order, each at its first occurrence, so
     # every symbol before position p is assigned.  images[-1] belongs to a
     # sentinel choice point that has no candidates.
@@ -208,12 +221,15 @@ def _iter_assignments(
     p, q, reach = 0, 0, min_len * n
     while True:
         # walk forward over assigned variables to a mismatch or the next
-        # unassigned variable, which opens a choice point unless it is the last
+        # unassigned variable, which opens a choice point unless it is the
+        # penultimate or the last
         while True:
             s = idx[p]
             img = images[s]
             if img is None:
                 if s == last:
+                    # Only a walk with a single slot gets here: otherwise the
+                    # penultimate slot's loop takes the last slot's step.
                     # Of the last slot's lengths min_len..k, only rem / lo,
                     # when whole, gives reach == total: all are counted at
                     # once and that one alone is tried.  Every symbol is then
@@ -248,22 +264,72 @@ def _iter_assignments(
                         nodes += known
                         break
                     opened[s] = nodes
-                stack.append((cp, cq, base, x, ln, hi, occ))
-                occ = counts[s]
-                base = reach - occ * min_len
-                cp, cq, x, ln = p, q, s, min_len - 1
-                hi = (total - base) // occ
-                if lookahead and occ > 1:
+                # slot s occurs o times; b is the least length of the word
+                # with them left out, and h its longest image
+                o = counts[s]
+                b = reach - o * min_len
+                h = (total - b) // o
+                if lookahead and o > 1:
                     top = again[q]
                     if top < 0:
                         # a failed find ended the count at q
                         top = ~top
-                    elif top < hi:
-                        while top < hi and word.find(word[q : q + top + 1], q + top + 1) >= 0:
+                    elif top < h:
+                        while top < h and word.find(word[q : q + top + 1], q + top + 1) >= 0:
                             top += 1
-                        again[q] = top if top == hi else ~top
-                    if top < hi:
-                        hi = top
+                        again[q] = top if top == h else ~top
+                    if top < h:
+                        h = top
+                if s != pen:
+                    stack.append((cp, cq, base, x, ln, hi, occ))
+                    cp, cq, base, x, ln, hi, occ = p, q, b, s, min_len - 1, h, o
+                    break
+                # The penultimate slot opens no choice point either: each
+                # candidate counts its node and checks the stretch, and one
+                # that passes counts the last slot's candidates in one step,
+                # as the step above does, adding both at once, and checks
+                # the tail only when the last slot's length is whole.
+                if stretch is None:
+                    at = idx.index(last, p)
+                    stretch = idx[p + 1 : at]
+                    tail = idx[at + 1 :]
+                for m in range(min_len, h + 1):
+                    images[s] = word[q : q + m]
+                    r = q + m
+                    for t in stretch:
+                        img = images[t]
+                        k = len(img)
+                        if word[r : r + k] != img:
+                            break
+                        r += k
+                    else:
+                        rem = span - b - o * m
+                        k = rem // lo
+                        nodes += k - min_len + 2
+                        if nodes > budget:
+                            counter[0] = budget
+                            raise _BudgetHit
+                        if k * lo == rem:
+                            images[last] = word[r : r + k]
+                            r += k
+                            for t in tail:
+                                img = images[t]
+                                k = len(img)
+                                if word[r : r + k] != img:
+                                    break
+                                r += k
+                            else:
+                                counter[0] = yielded = nodes
+                                yield dict(zip(order, images))
+                            images[last] = None
+                        continue
+                    if nodes >= budget:
+                        counter[0] = nodes
+                        raise _BudgetHit
+                    nodes += 1
+                images[s] = None
+                if cut[s] and opened[s] > yielded:
+                    memo[s, q] = nodes - opened[s]
                 break
             k = len(img)
             if word[q : q + k] != img:

@@ -522,6 +522,15 @@ class TestScanRecord:
         assert record.to_json() == reference_json(record)
         assert ScanRecord.from_json(record.to_json()) == record
 
+    @pytest.mark.parametrize("text", ["16 1 16", "17 1 17", "1 2 1000 2 1000 1"])
+    def test_symbols_past_the_text_table_are_written_in_full(self, text):
+        # the writer reads each symbol's text from a table up to the longest
+        # enumerated pattern; any other record, read back or built by hand,
+        # writes its symbols as str does
+        record = ScanRecord(parse_pattern(text), False, 2, best_sigma_ij=(1, 2))
+        assert record.to_json() == reference_json(record)
+        assert ScanRecord.from_json(record.to_json()) == record
+
     @pytest.mark.parametrize("budget", [5, 60, DEFAULT_BUDGET])
     @pytest.mark.parametrize("target", SCAN_TARGETS)
     def test_writer_matches_json_dumps_on_every_scan_record(self, target, budget):

@@ -848,6 +848,53 @@ class TestSolverCore:
             assert_matches_reference(key, solver._spelt(key)[0], inf)
             assert_matches_reference(pattern.symbols, sigma.apply(pattern), inf)
 
+    def test_longer_fresh_prefixes_match_the_reference(self):
+        # the same inputs one and two sizes up, where a walk counts up to
+        # 24,309 nodes: unbounded and at the total and one below it
+        for n in (7, 8):
+            pattern, sigma = shortest_non_fixed_point(n)
+            key = canonical_form(pattern).symbols
+            assert_matches_reference(key, key, 0)
+            assert_matches_reference(key, solver._spelt(key)[0], 0)
+            assert_matches_reference(pattern.symbols, sigma.apply(pattern), 0)
+
+    @pytest.mark.parametrize("text", ["1 2 2 3 2 3", "1 2 3 2 4 3 4"])
+    def test_stretches_that_read_assigned_images_match_the_reference(self, text):
+        # between the penultimate slot's first occurrence and the last
+        # slot's, the walk reads the penultimate slot's own image (2 in
+        # 1 2 2 3 2 3) or an earlier slot's (2 in 1 2 3 2 4 3 4)
+        symbols = parse_pattern(text).symbols
+        words = [symbols, solver._spelt(symbols)[0]]
+        for letters in ("ab", "abc"):
+            words.append("".join(letters[(v - 1) % len(letters)] for v in symbols))
+            words.append(letters * 3)
+        for word in words:
+            assert_matches_reference(symbols, word, inf)
+
+    @given(
+        pattern_strategy(max_len=10, max_vars=5),
+        st.sampled_from(("ab", "abc")),
+        st.data(),
+    )
+    @settings(max_examples=100)
+    def test_drawn_walks_match_the_reference(self, pattern, letters, data):
+        # a free word, or the pattern's image under drawn images so that
+        # the walk has something to yield; unbounded and at three budgets
+        symbols = pattern.symbols
+        free = word_strategy(max_len=12, letters=letters)
+        image = st.fixed_dictionaries(
+            {v: word_strategy(max_len=2, letters=letters) for v in pattern.variables}
+        ).map(lambda images: "".join(images[s] for s in symbols))
+        word = data.draw(st.one_of(free, image))
+        for min_len in (0, 1):
+            full = run_search(reference_assignments, symbols, word, min_len, inf)
+            assert run_search(solver._iter_assignments, symbols, word, min_len, inf) == full
+            budgets = st.lists(st.integers(1, full[2] + 1), min_size=3, max_size=3)
+            for budget in data.draw(budgets):
+                expected = run_search(reference_assignments, symbols, word, min_len, budget)
+                got = run_search(solver._iter_assignments, symbols, word, min_len, budget)
+                assert got == expected, (symbols, word, min_len, budget)
+
     def test_empty_pattern_matches_the_reference(self):
         # no slot at all, so no last slot: {} is the one preimage of ""
         for word in ("", "a"):
