@@ -21,13 +21,22 @@ from .words import ALPHABET, Pattern, _canonical_sequences, canonical_symbols, i
 
 _THUE_RULES = {"a": "abc", "b": "ac", "c": "b"}
 
+# the longest word or pattern any generator here builds
 MAX_DEBRUIJN_LENGTH = 1 << 22
+
+
+def _check_length(family: str, length: int) -> None:
+    """Reject an output of more than MAX_DEBRUIJN_LENGTH letters or symbols
+    before anything is built."""
+    if length > MAX_DEBRUIJN_LENGTH:
+        raise ResourceError(f"{family} supports length <= {MAX_DEBRUIJN_LENGTH}, got {length}")
 
 
 def thue_word(length: int) -> str:
     """Prefix of the square-free fixed point of a -> abc, b -> ac, c -> b."""
     if length < 0:
         raise DomainError(f"length must be >= 0, got {length}")
+    _check_length("the square-free word", length)
     word = "a"
     while len(word) < length:
         word = "".join(_THUE_RULES[ch] for ch in word)
@@ -43,6 +52,7 @@ def squares_pattern(m: int) -> Pattern:
     """The pattern 1 1 2 2 ... m m."""
     if m < 1:
         raise DomainError(f"m must be >= 1, got {m}")
+    _check_length("the squares pattern", 2 * m)
     return Pattern(tuple(v for v in range(1, m + 1) for _ in range(2)))
 
 
@@ -86,6 +96,7 @@ def shortest_non_fixed_point(n: int) -> tuple[Pattern, Morphism]:
     """
     if n < 2:
         raise DomainError(f"n must be >= 2, got {n}")
+    _check_length("the shortest non-fixed point", 2 * n)
     half = (n + 1) // 2
     if n % 2 == 0:
         symbols = list(range(1, n + 1))

@@ -16,10 +16,11 @@ The last variable opens no choice point: at most one of its lengths can end
 on the word's end, so all its candidates are counted in one step and only
 that length is tried.  The variable before it, the deepest choice, opens
 none either: its candidates run in one loop, each followed by the last
-variable's step, and count the same nodes.  The search walks the pattern
-with an explicit stack of choice points, one per assigned variable but the
-last two, so its depth is bounded by memory, not by the interpreter's
-recursion limit.
+variable's step, and count the same nodes.  A pattern of one variable has
+no such loop and takes that step once, before the walk.  The search walks
+the pattern with an explicit stack of choice points, one per assigned
+variable but the last two, so its depth is bounded by memory, not by the
+interpreter's recursion limit.
 
 Where the pattern splits as alpha = beta gamma with no variable in both
 halves, the search below the first variable of gamma depends only on the
@@ -120,8 +121,10 @@ def _iter_assignments(
     stretch (or shrink) to exactly the remaining word.
     One node is one candidate image counted.  The last slot opens no choice
     point: its candidates are counted in one step, and only the length that
-    ends on the word's end, when whole, is tried.  The penultimate slot opens
-    none either: its candidates run in one loop.  Each counts its node and
+    ends on the word's end, when whole, is tried.  A walk of one slot takes
+    that step in the set-up and returns.  Otherwise the penultimate slot
+    opens no choice point either: its candidates run in one loop, the only
+    place where the last slot's step is taken.  Each counts its node and
     checks the symbols between the penultimate slot's first occurrence and
     the last slot's (the stretch); one that passes takes the last slot's
     step, and only a whole length checks the symbols after the last slot's
@@ -160,6 +163,30 @@ def _iter_assignments(
             index[s] = len(order)
             order.append(s)
     idx = [index[s] for s in symbols]
+    if not order:
+        # the empty pattern maps onto the empty word alone
+        counter[0] = 0
+        if not total:
+            yield {}
+        return
+    if min_len * n > total:
+        counter[0] = 0
+        return
+    last = len(order) - 1
+    if not last:
+        # a single slot is the last slot, with no penultimate slot's loop
+        # to take its step: of its lengths min_len..k, only total / n, when
+        # whole, maps onto the word; all are counted here in one step and
+        # that one alone is tried.  The exit above keeps k >= min_len.
+        k = total // n
+        nodes = k - min_len + 1
+        if nodes > budget:
+            counter[0] = budget
+            raise _BudgetHit
+        counter[0] = nodes
+        if k * n == total and word[:k] * n == word:
+            yield {order[0]: word[:k]}
+        return
     counts = [0] * len(order)
     for s in idx:
         counts[s] += 1
@@ -172,24 +199,14 @@ def _iter_assignments(
             pending += counts[s]
             seen += 1
         pending -= 1
-    if not order:
-        # the empty pattern maps onto the empty word alone
-        counter[0] = 0
-        if not total:
-            yield {}
-        return
     # the last slot opens no choice point, so its cut flag is never read and
-    # it keeps no memo entry; it occurs lo times, and under reach its longest
-    # image is (span - reach) // lo.  The penultimate slot pen runs its
-    # candidates in one loop; its stretch and tail are found when it first
-    # opens, so a walk that ends before that pays nothing for them.
-    last = len(order) - 1
+    # it keeps no memo entry; it occurs lo times.  The penultimate slot pen
+    # runs its candidates in one loop, each followed by the last slot's step;
+    # its stretch and tail are found when it first opens, so a walk that ends
+    # before that pays nothing for them.
     pen = last - 1
     lo = counts[last]
     span = total + lo * min_len
-    if min_len * n > total:
-        counter[0] = 0
-        return
     stretch = tail = None
     # Variable slots are assigned in order, each at its first occurrence, so
     # every symbol before position p is assigned.  images[-1] belongs to a
@@ -222,39 +239,11 @@ def _iter_assignments(
     while True:
         # walk forward over assigned variables to a mismatch or the next
         # unassigned variable, which opens a choice point unless it is the
-        # penultimate or the last
+        # penultimate; the last is assigned only in the penultimate's loop
         while True:
             s = idx[p]
             img = images[s]
             if img is None:
-                if s == last:
-                    # Only a walk with a single slot gets here: otherwise the
-                    # penultimate slot's loop takes the last slot's step.
-                    # Of the last slot's lengths min_len..k, only rem / lo,
-                    # when whole, gives reach == total: all are counted at
-                    # once and that one alone is tried.  Every symbol is then
-                    # assigned, so the rest of the walk is a check that needs
-                    # no choice point.
-                    rem = span - reach
-                    k = rem // lo
-                    nodes += k - min_len + 1
-                    if nodes > budget:
-                        counter[0] = budget
-                        raise _BudgetHit
-                    if k * lo == rem:
-                        images[s] = word[q : q + k]
-                        q += k
-                        for p in range(p + 1, n):
-                            img = images[idx[p]]
-                            k = len(img)
-                            if word[q : q + k] != img:
-                                break
-                            q += k
-                        else:
-                            counter[0] = yielded = nodes
-                            yield dict(zip(order, images))
-                        images[s] = None
-                    break
                 if cut[s]:
                     known = memo.get((s, q))
                     if known is not None:
@@ -284,11 +273,12 @@ def _iter_assignments(
                     stack.append((cp, cq, base, x, ln, hi, occ))
                     cp, cq, base, x, ln, hi, occ = p, q, b, s, min_len - 1, h, o
                     break
-                # The penultimate slot opens no choice point either: each
-                # candidate counts its node and checks the stretch, and one
-                # that passes counts the last slot's candidates in one step,
-                # as the step above does, adding both at once, and checks
-                # the tail only when the last slot's length is whole.
+                # The penultimate slot opens no choice point: each candidate
+                # counts its node and checks the stretch, and one that passes
+                # counts the last slot's candidates in one step, adding both
+                # at once: of the last slot's lengths min_len..k, only
+                # rem / lo, when whole, gives reach == total, and only then
+                # is that length tried and the tail checked.
                 if stretch is None:
                     at = idx.index(last, p)
                     stretch = idx[p + 1 : at]

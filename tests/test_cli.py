@@ -381,6 +381,27 @@ class TestGenerate:
         assert out == ""
         assert "resource limit" in err
 
+    @pytest.mark.parametrize(
+        "family,flag,size",
+        [
+            ("thue", "--length", generators.MAX_DEBRUIJN_LENGTH + 1),
+            ("doubled", "--length", generators.MAX_DEBRUIJN_LENGTH + 1),
+            ("alpha-m", "--m", generators.MAX_DEBRUIJN_LENGTH // 2 + 1),
+            ("shortest", "--n", generators.MAX_DEBRUIJN_LENGTH // 2 + 1),
+        ],
+    )
+    def test_length_guard_is_exit_3_before_anything_is_built(self, capsys, monkeypatch, family, flag, size):
+        # a build would read the Thue rules or make a Pattern
+        def no_build(*args, **kwargs):
+            raise AssertionError("the output was built")
+
+        monkeypatch.setattr(generators, "_THUE_RULES", {})
+        monkeypatch.setattr(generators, "Pattern", no_build)
+        code, out, err = run_cli(capsys, "generate", family, flag, str(size))
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
+
     def test_single_letter_enumeration_guard_is_exit_3_before_output(self, capsys, monkeypatch):
         def no_walk(*args, **kwargs):
             raise AssertionError("the walk started")

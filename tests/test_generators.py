@@ -45,6 +45,9 @@ class TestThueWord:
         with pytest.raises(DomainError):
             thue_word(-1)
 
+    def test_longest_prefix_under_the_length_guard(self):
+        assert len(thue_word(MAX_DEBRUIJN_LENGTH)) == MAX_DEBRUIJN_LENGTH
+
 
 class TestDoubleLetters:
     def test_examples(self):

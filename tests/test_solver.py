@@ -900,6 +900,16 @@ class TestSolverCore:
         for word in ("", "a"):
             assert_matches_reference((), word, inf)
         assert run_search(solver._iter_assignments, (), "", 0, inf) == ([({}, 0)], "done", 0)
+        # one slot, so no penultimate slot's loop: the walk's set-up counts
+        # the slot's candidates and tries its one whole length, if any, on
+        # the empty word, on powers and near-powers, and on the pattern itself
+        for n in range(1, 7):
+            symbols = (1,) * n
+            words = ["", "aab", "ababa", symbols]
+            for k in range(1, 5):
+                words += ["a" * k, "ab" * k]
+            for word in words:
+                assert_matches_reference(symbols, word, inf)
 
     def test_excluded_assignment_inside_a_remembered_block(self, monkeypatch):
         # sigma's own assignment is the one solution of the block 3 3 4 4

@@ -5,7 +5,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCES = sorted((*ROOT.glob("src/**/*.py"), *ROOT.glob("tests/**/*.py")))
+SOURCES = sorted(path for tree in ("src", "tests", "perfbench") for path in ROOT.glob(f"{tree}/**/*.py"))
 
 
 def python_floor():
