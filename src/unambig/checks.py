@@ -14,6 +14,7 @@ from .conditions import candidate_pairs
 from .errors import BudgetError, DomainError, ResourceError
 from .explorer import check_enumeration, enumerate_canonical_patterns, search_1uniform
 from .generators import (
+    _check_length,
     debruijn_patterns,
     debruijn_word,
     shortest_non_fixed_point,
@@ -53,14 +54,17 @@ def _fixed_point(pattern: Pattern) -> bool:
     return verdict
 
 
-def thue_checks(ms: Iterable[int]) -> Iterator[Check]:
+def thue_checks(ms: range) -> Iterator[Check]:
     """Over two letters no 1-uniform morphism is unambiguous on the squares
     pattern 1 1 2 2 ... m m for m >= THUE_MIN_M; the ternary square-free
-    morphism is.  An m below that range is a DomainError, raised before the
-    first check."""
-    ms = list(ms)
-    if any(m < THUE_MIN_M for m in ms):
-        raise DomainError(f"the squares-pattern statement needs m >= {THUE_MIN_M}, got m={min(ms)}")
+    morphism is.  Before the first check, an m below that range is a
+    DomainError and an m whose squares pattern is past the generators'
+    length bound a ResourceError.  Only the ascending span's two ends are
+    read, so a span of any size is refused at once."""
+    if ms:
+        if ms[0] < THUE_MIN_M:
+            raise DomainError(f"the squares-pattern statement needs m >= {THUE_MIN_M}, got m={ms[0]}")
+        _check_length("the squares pattern", 2 * ms[-1])
     yield thue_word(21) == THUE_PREFIX_21, "square-free word prefix of length 21"
     for m in ms:
         alpha = squares_pattern(m)

@@ -15,7 +15,7 @@ import json
 import os
 import sys
 from collections import Counter
-from typing import IO, Callable
+from typing import Callable, NoReturn
 
 from .checks import pair_theorem_checks, pi_db_checks, shortest_checks, thue_checks
 from .errors import DomainError, InconsistencyError, ParseError, ResourceError
@@ -82,12 +82,36 @@ def _span(text: str) -> range:
     return range(first, last + 1)
 
 
-def _open_output(path: str) -> IO[str]:
-    # only the open is caught: a closed pipe on a later write is run()'s to handle
-    try:
-        return open(path, "w", encoding="ascii")
-    except OSError as exc:
-        raise DomainError(f"cannot write {path}: {exc.strerror}") from None
+class _Output:
+    """A text file opened for writing.  A failed open, write or close is a
+    DomainError naming the path; a closed pipe is run()'s to handle."""
+
+    def __init__(self, path: str) -> None:
+        self._path = path
+        try:
+            self._file = open(path, "w", encoding="ascii")
+        except OSError as exc:
+            self._fail(exc)
+
+    def _fail(self, exc: OSError) -> NoReturn:
+        if isinstance(exc, BrokenPipeError):
+            raise exc
+        raise DomainError(f"cannot write {self._path}: {exc.strerror}") from None
+
+    def write(self, text: str) -> None:
+        try:
+            self._file.write(text)
+        except OSError as exc:
+            self._fail(exc)
+
+    def __enter__(self) -> _Output:
+        return self
+
+    def __exit__(self, *_) -> None:
+        try:
+            self._file.close()
+        except OSError as exc:
+            self._fail(exc)
 
 
 def _emit(args: argparse.Namespace, record: dict) -> None:
@@ -201,7 +225,7 @@ def _cmd_scan(args: argparse.Namespace) -> int:
     records = findings = budget_hits = 0
     # the scan checks its arguments here, before the output file is truncated
     scan = conjecture_scan(args.max_len, args.target, budget=args.budget, workers=args.workers)
-    with _open_output(args.out) as sink:
+    with _Output(args.out) as sink:
         for record in scan:
             sink.write(record.to_json() + "\n")
             records += 1
@@ -221,7 +245,7 @@ def _cmd_census(args: argparse.Namespace) -> int:
     tight = []
     # check the length here, before the output file is truncated
     check_enumeration(args.length)
-    with _open_output(args.jsonl or os.devnull) as sink:
+    with _Output(args.jsonl or os.devnull) as sink:
         for pattern in enumerate_canonical_patterns(args.length, min_vars=args.min_vars):
             # a budget-exhausted check counts as "not a fixed point", as in least_uniform_alphabet
             if fixed_point_verdict(pattern, budget=args.budget):

@@ -77,6 +77,7 @@ def exponent_pattern(exponents: list[int] | tuple[int, ...]) -> Pattern:
     for r in exps:
         if not isinstance(r, int) or r < 2:
             raise DomainError(f"exponents must be integers >= 2, got {r!r}")
+    _check_length("the exponent pattern", 2 * sum(exps))
     if not is_square_free(exps):
         raise DomainError("the exponent sequence must be square-free")
     symbols: list[int] = []

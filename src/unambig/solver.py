@@ -116,9 +116,10 @@ def _iter_assignments(
 ) -> Iterator[dict]:
     """Yield every variable assignment whose pointwise image equals ``word``.
 
-    Images are slices of it.  Candidates are pruned by remaining-length
-    feasibility: the unassigned occurrences in the suffix must be able to
-    stretch (or shrink) to exactly the remaining word.
+    Images are slices of it.  ``symbols`` holds at least one symbol: every
+    caller refuses the empty pattern first.  Candidates are pruned by
+    remaining-length feasibility: the unassigned occurrences in the suffix
+    must be able to stretch (or shrink) to exactly the remaining word.
     One node is one candidate image counted.  The last slot opens no choice
     point: its candidates are counted in one step, and only the length that
     ends on the word's end, when whole, is tried.  A walk of one slot takes
@@ -130,8 +131,12 @@ def _iter_assignments(
     step, and only a whole length checks the symbols after the last slot's
     first occurrence (the tail).  The nodes, the yields and their order are
     those of a choice point per slot.  ``counter[0]`` holds the node count
-    whenever an assignment is yielded and when the search ends; counting a
-    node beyond ``budget`` raises _BudgetHit with ``counter[0] == budget``.
+    whenever an assignment is yielded and when the search ends.  Counting a
+    node beyond ``budget`` raises _BudgetHit and leaves ``counter[0]`` as it
+    was: a hit always stands for exactly ``budget`` nodes, so callers report
+    that.  A word shorter than ``min_len`` per symbol needs no exit of its
+    own: the first slot's largest image is then shorter than ``min_len``, so
+    the walk counts no node and yields nothing.
 
     A cut slot's first occurrence follows every occurrence of every earlier
     slot, so the subtree of its choice point reads no earlier image and is
@@ -163,28 +168,19 @@ def _iter_assignments(
             index[s] = len(order)
             order.append(s)
     idx = [index[s] for s in symbols]
-    if not order:
-        # the empty pattern maps onto the empty word alone
-        counter[0] = 0
-        if not total:
-            yield {}
-        return
-    if min_len * n > total:
-        counter[0] = 0
-        return
     last = len(order) - 1
     if not last:
         # a single slot is the last slot, with no penultimate slot's loop
         # to take its step: of its lengths min_len..k, only total / n, when
-        # whole, maps onto the word; all are counted here in one step and
-        # that one alone is tried.  The exit above keeps k >= min_len.
+        # whole and at least min_len, maps onto the word; all are counted
+        # here in one step, none when k < min_len, and that one alone is
+        # tried.
         k = total // n
         nodes = k - min_len + 1
         if nodes > budget:
-            counter[0] = budget
             raise _BudgetHit
         counter[0] = nodes
-        if k * n == total and word[:k] * n == word:
+        if k >= min_len and k * n == total and word[:k] * n == word:
             yield {order[0]: word[:k]}
         return
     counts = [0] * len(order)
@@ -233,8 +229,8 @@ def _iter_assignments(
     opened = [0] * len(order)
     yielded = -1
     # p, q: positions in symbols and word; reach: the least length of the
-    # word under the current assignment.  hi keeps reach <= total, so the walk
-    # needs no length check.
+    # word under the current assignment.  hi keeps reach <= total once a slot
+    # is assigned, so the walk needs no length check.
     p, q, reach = 0, 0, min_len * n
     while True:
         # walk forward over assigned variables to a mismatch or the next
@@ -248,7 +244,6 @@ def _iter_assignments(
                     known = memo.get((s, q))
                     if known is not None:
                         if nodes + known > budget:
-                            counter[0] = budget
                             raise _BudgetHit
                         nodes += known
                         break
@@ -297,7 +292,6 @@ def _iter_assignments(
                         k = rem // lo
                         nodes += k - min_len + 2
                         if nodes > budget:
-                            counter[0] = budget
                             raise _BudgetHit
                         if k * lo == rem:
                             images[last] = word[r : r + k]
@@ -314,7 +308,6 @@ def _iter_assignments(
                             images[last] = None
                         continue
                     if nodes >= budget:
-                        counter[0] = nodes
                         raise _BudgetHit
                     nodes += 1
                 images[s] = None
@@ -336,7 +329,6 @@ def _iter_assignments(
                 memo[x, cq] = nodes - opened[x]
             cp, cq, base, x, ln, hi, occ = stack.pop()
         if nodes >= budget:
-            counter[0] = nodes
             raise _BudgetHit
         nodes += 1
         ln += 1
@@ -382,7 +374,7 @@ def find_alternative(
             _iter_assignments(pattern.symbols, word, min_len, counter, budget), images
         )
     except _BudgetHit:
-        return BudgetExhausted(nodes_explored=counter[0])
+        return BudgetExhausted(nodes_explored=budget)
     if found is None:
         return NoWitness(nodes_explored=counter[0])
     differing = None if images is None else min(v for v in found if found[v] != images[v])
@@ -536,7 +528,7 @@ def is_fixed_point(
     try:
         found = _first_alternative(_iter_assignments(key, word, 0, counter, budget), identity)
     except _BudgetHit:
-        return BudgetExhausted(nodes_explored=counter[0])
+        return BudgetExhausted(nodes_explored=budget)
     if found is None:
         return NotFixedPoint(nodes_explored=counter[0])
     return _fp_result(pattern, found, counter[0])

@@ -388,6 +388,7 @@ class TestGenerate:
             ("doubled", "--length", generators.MAX_DEBRUIJN_LENGTH + 1),
             ("alpha-m", "--m", generators.MAX_DEBRUIJN_LENGTH // 2 + 1),
             ("shortest", "--n", generators.MAX_DEBRUIJN_LENGTH // 2 + 1),
+            ("exponent", "--beta", "2097151 2"),
         ],
     )
     def test_length_guard_is_exit_3_before_anything_is_built(self, capsys, monkeypatch, family, flag, size):
@@ -692,6 +693,14 @@ class TestVerify:
         assert code == 2
         assert out == ""
         assert "m >= 4" in err
+        assert "Traceback" not in err
+
+    def test_thue_past_the_squares_pattern_bound_is_exit_3_up_front(self, capsys):
+        # the span holds 10**20 values: neither listed nor measured
+        code, out, err = run_cli(capsys, "verify", "thue", "--m", "4..100000000000000000000")
+        assert code == 3
+        assert out == ""
+        assert "resource limit" in err
         assert "Traceback" not in err
 
     def test_thue_at_the_least_m_holds(self, capsys):
@@ -1030,9 +1039,16 @@ class TestCensus:
     ],
     ids=["scan", "census"],
 )
-@pytest.mark.parametrize("where", ["missing-directory", "directory"])
+@pytest.mark.parametrize("where", ["missing-directory", "directory", "full-device"])
 def test_unwritable_output_is_usage_error(capsys, tmp_path, argv, where):
-    path = tmp_path / "missing" / "x.jsonl" if where == "missing-directory" else tmp_path
+    # /dev/full opens, then fails the write or the close with ENOSPC
+    path = {
+        "missing-directory": tmp_path / "missing" / "x.jsonl",
+        "directory": tmp_path,
+        "full-device": "/dev/full",
+    }[where]
+    if where == "full-device" and not os.path.exists(path):
+        pytest.skip("no /dev/full on this system")
     code, out, err = run_cli(capsys, *argv, str(path))
     assert code == 2
     assert out == ""

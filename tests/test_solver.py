@@ -765,21 +765,23 @@ def reference_assignments(symbols, word, min_len, counter, budget):
 
 def run_search(search, symbols, word, min_len, budget):
     """Every yield with the node count at it, then how the search ended and
-    its final node count."""
+    its final node count: the budget itself when it ran out."""
     counter = [0]
     trace = []
     try:
         for assignment in search(symbols, word, min_len, counter, budget):
             trace.append((assignment, counter[0]))
     except solver._BudgetHit:
-        return trace, "budget", counter[0]
+        return trace, "budget", budget
     return trace, "done", counter[0]
 
 
 def solver_core_inputs():
     """Each canonical pattern of length <= 7 as its own word, tuple and
     spelt, and each one of length <= 6 under its binary and ternary
-    first-occurrence 1-uniform images, with the pattern's length."""
+    first-occurrence 1-uniform images, with the pattern's length; each one
+    of length <= 6 with two or more variables also on the empty word and on
+    its own tuple less its last symbol, words shorter than the pattern."""
     for length in range(1, 8):
         for pattern in enumerate_canonical_patterns(length):
             yield length, pattern.symbols, pattern.symbols
@@ -788,6 +790,9 @@ def solver_core_inputs():
                 for letters in ("ab", "abc"):
                     image = "".join(letters[(v - 1) % len(letters)] for v in pattern.symbols)
                     yield length, pattern.symbols, image
+                if len(pattern.variables) > 1:
+                    yield length, pattern.symbols, ""
+                    yield length, pattern.symbols, pattern.symbols[:-1]
 
 
 def decomposable_inputs():
@@ -895,11 +900,7 @@ class TestSolverCore:
                 got = run_search(solver._iter_assignments, symbols, word, min_len, budget)
                 assert got == expected, (symbols, word, min_len, budget)
 
-    def test_empty_pattern_matches_the_reference(self):
-        # no slot at all, so no last slot: {} is the one preimage of ""
-        for word in ("", "a"):
-            assert_matches_reference((), word, inf)
-        assert run_search(solver._iter_assignments, (), "", 0, inf) == ([({}, 0)], "done", 0)
+    def test_one_slot_walks_match_the_reference(self):
         # one slot, so no penultimate slot's loop: the walk's set-up counts
         # the slot's candidates and tries its one whole length, if any, on
         # the empty word, on powers and near-powers, and on the pattern itself
